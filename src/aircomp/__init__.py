@@ -9,7 +9,7 @@ pilot-driven combining coefficients, exact and model-based MSE formulas,
 and a seeded Monte Carlo engine with a CLI front end.
 """
 
-from .channel import ChannelParams, GainMatrix, channel_power_gain, effective_gain_matrix, received_powers
+from .channel import ChannelParams, GainMatrix, effective_gain_matrix, received_powers
 from .estimator import (
     GainStatistics,
     MseBreakdown,
@@ -89,7 +89,6 @@ __all__ = [
     # channel
     "ChannelParams",
     "GainMatrix",
-    "channel_power_gain",
     "effective_gain_matrix",
     "received_powers",
     # protocol

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import SensorField, Trajectory, distance_matrix
+from .geometry import SensorField, Trajectory, squared_ranges
 
 SPEED_OF_LIGHT = 2.99792458e8
 
@@ -79,25 +79,18 @@ class GainMatrix:
         return self.h.shape[1]
 
 
-def channel_power_gain(params: ChannelParams, d):
-    """Round-trip power gain ``g0**2 / d**2`` for distances ``d`` (scalar or array).
-
-    Raises:
-        ValueError: if any distance is non-positive.
-    """
-    d = np.asarray(d, dtype=np.float64)
-    if np.any(d <= 0.0):
-        raise ValueError("distances must be positive")
-    out = params.g0**2 / d**2
-    return float(out) if out.ndim == 0 else out
-
-
 def effective_gain_matrix(field: SensorField, traj: Trajectory, params: ChannelParams) -> GainMatrix:
     """Per-link gains for every sensor/stop pair of a deployment."""
-    d = distance_matrix(field, traj)
-    h = params.g0**2 / d**2
-    g = np.sqrt(field.reflection * params.tx_power_w)[:, None] * h
-    return GainMatrix(h=h, g=g)
+    d2 = squared_ranges(field.positions[:, 0], field.positions[:, 1], traj)
+    return GainMatrix(h=params.g0**2 / d2, g=gain_amplitude(field.reflection, params)[:, None] / d2)
+
+
+def gain_amplitude(zeta, params: ChannelParams):
+    """Effective amplitude ``sqrt(zeta * p) * g0**2`` of a reflector at unit range.
+
+    Dividing it by the squared slant range gives the effective gain.
+    """
+    return np.sqrt(np.multiply(zeta, params.tx_power_w)) * params.g0**2
 
 
 def received_powers(params: ChannelParams, zeta: float, d: float) -> tuple[float, float]:

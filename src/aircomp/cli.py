@@ -17,7 +17,8 @@ entries, which override built-in defaults.  Config files are flat
 ``key = value`` text; ``#`` starts a comment and blank lines are
 ignored.
 
-Exit codes: 0 success, 2 configuration error, 3 runtime failure.
+Exit codes: 0 success, 2 configuration error, 3 runtime failure
+(including a sweep in which every cell failed).
 """
 
 from __future__ import annotations
@@ -333,6 +334,8 @@ def _summary_text(manifest: RunManifest, result: ExperimentResult) -> str:
         lines.append(f"[{result.axis} = {axis_value}, target = {target}]")
         cell_rows = [r for r in result.rows if r.axis_value == axis_value and r.target == target]
         by_policy = {r.policy: r for r in cell_rows}
+        if cell_rows[0].error:
+            lines.append(f"  failed: {cell_rows[0].error}")
         for row in cell_rows:
             lines.append(
                 f"  {row.policy:<16} mse = {_fmt(row.mse):<12} "
@@ -377,13 +380,24 @@ def _oracle_summary_text(manifest: RunManifest, result) -> str:
 # ------------------------------------------------------------------ commands
 
 
-def _run(manifest: RunManifest) -> None:
+def _run(manifest: RunManifest) -> int:
+    """Run one command, write its artifacts and return the exit code.
+
+    A sweep reports each failed cell on stderr and exits 3 when no cell
+    succeeded.
+    """
     out_dir = Path(manifest.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    code = 0
     if manifest.command in ("sweep", "single"):
         result = sweep(manifest.config, manifest.axis, manifest.values, targets=manifest.targets)
         result.write_csv(out_dir / "results.csv")
         _write_text(out_dir / "summary.txt", _summary_text(manifest, result))
+        failed = {(r.axis_value, r.target): r.error for r in result.rows if r.error}
+        for (axis_value, target), error in failed.items():
+            print(f"cell {result.axis} = {axis_value}, target = {target} failed: {error}", file=sys.stderr)
+        if len(failed) == len({(r.axis_value, r.target) for r in result.rows}):
+            code = 3
     elif manifest.command == "oracle":
         result = grid_oracle(manifest.config, manifest.resolution, manifest.span)
         _write_text(out_dir / "results.csv", _oracle_csv_text(result))
@@ -391,6 +405,7 @@ def _run(manifest: RunManifest) -> None:
     else:
         raise ValueError(f"unhandled command {manifest.command!r}")
     _write_text(out_dir / "manifest.txt", render_manifest(manifest))
+    return code
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -533,11 +548,10 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        _run(manifest)
+        return _run(manifest)
     except Exception as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3
-    return 0
 
 
 if __name__ == "__main__":

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelParams, GainMatrix
-from .geometry import Trajectory
+from .channel import ChannelParams, GainMatrix, gain_amplitude
+from .geometry import Trajectory, squared_ranges
 from .nomographic import (
     TargetSpec,
     gaussian_power_variance,
@@ -114,10 +114,7 @@ def _disk_rule(r_cov: float, radial_nodes: int, angular_nodes: int):
 
 def _gain_moments(traj, r_cov, params, zeta, radial_nodes, angular_nodes):
     px, py, wgt = _disk_rule(r_cov, radial_nodes, angular_nodes)
-    dx = px[:, None] - traj.stops[None, :, 0]
-    dy = py[:, None] - traj.stops[None, :, 1]
-    d2 = traj.altitude_h**2 + dx**2 + dy**2
-    g = np.sqrt(zeta * params.tx_power_w) * params.g0**2 / d2
+    g = gain_amplitude(zeta, params) / squared_ranges(px, py, traj)
     mean = wgt @ g
     second = g.T @ (g * wgt[:, None])
     return mean, second
@@ -315,6 +312,25 @@ def mse_exact_marginal(
     return _exact_mse(spec, t_mean, t_sq, data_mean, data_var, float(beta_arr**2 @ noise))
 
 
+def pilot_accepted(alpha) -> np.ndarray:
+    """Whether each round's pilot sums ``(..., k)`` are all positive.
+
+    A round failing this is rejected by the pilot-driven rules.
+    """
+    return (alpha > 0.0).all(axis=-1)
+
+
+def _pilot_inputs(alphas, spec: TargetSpec, data_mean, data_var, n_sensors: int):
+    """Validated pilot sums plus the ``cross`` and ``sum_i var_i`` terms both pilot rules share."""
+    alpha = alphas.alpha if isinstance(alphas, SumGainSamples) else np.asarray(alphas, float)
+    if not pilot_accepted(alpha).all():
+        raise SamplingRejectedError("non-positive pilot measurement; re-sample the round")
+    if n_sensors < 1:
+        raise ValueError(f"n_sensors must be >= 1, got {n_sensors}")
+    mu, var = _data_arrays(spec, data_mean, data_var)
+    return alpha, target_sum_cross_moment(spec, mu, var), float(var.sum())
+
+
 def beta_heuristic(
     alphas: SumGainSamples,
     spec: TargetSpec,
@@ -322,7 +338,6 @@ def beta_heuristic(
     data_var,
     noise_vars,
     n_sensors: int,
-    budget: float | None = None,
 ) -> BetaVector:
     """Per-stop coefficients from pilot measurements.
 
@@ -330,23 +345,16 @@ def beta_heuristic(
     ``cross / (K * (alpha_k / n) * sum_i var_i + n * nv_k / alpha_k)``
     where ``cross`` is the sum-target correlation term.  The noise part
     of the denominator shrinks the coefficient of stops whose pilot
-    sample is weak relative to the receiver noise.
+    sample is weak relative to the receiver noise.  Pilot sums may carry
+    leading round axes, ``(..., k)``; the coefficients then do too.
 
     Raises:
         SamplingRejectedError: if any pilot measurement is non-positive.
     """
-    alpha = alphas.alpha if isinstance(alphas, SumGainSamples) else np.asarray(alphas, float)
-    if np.any(alpha <= 0.0):
-        raise SamplingRejectedError("non-positive pilot measurement; re-sample the round")
-    if n_sensors < 1:
-        raise ValueError(f"n_sensors must be >= 1, got {n_sensors}")
-    k = alpha.size
+    alpha, cross, sum_var = _pilot_inputs(alphas, spec, data_mean, data_var, n_sensors)
+    k = alpha.shape[-1]
     noise = _noise_array(noise_vars, k)
-    mu, var = _data_arrays(spec, data_mean, data_var)
-    cross = target_sum_cross_moment(spec, mu, var)
-    sum_var = float(var.sum())
-    den = k * (alpha / n_sensors) * sum_var + n_sensors * noise / alpha
-    return BetaVector(cross / den, budget=budget)
+    return BetaVector(cross / (k * (alpha / n_sensors) * sum_var + n_sensors * noise / alpha))
 
 
 def beta_heuristic_equal(
@@ -356,26 +364,25 @@ def beta_heuristic_equal(
     data_var,
     noise_vars,
     n_sensors: int,
-) -> float:
+):
     """Single shared coefficient from pooled pilot measurements.
 
-    ``cross / ((sum_k alpha_k / n) * sum_i var_i + n * sum_k nv_k / sum_k alpha_k)``.
-    Collapses to the per-stop rule when all pilot samples are equal.
+    ``cross / ((sum_k alpha_k / n) * sum_i var_i + n * sum_k nv_k / sum_k alpha_k)``,
+    where a scalar noise variance counts ``k`` times.  Collapses to the
+    per-stop rule when all pilot samples are equal.  Returns a float for
+    one round's pilot sums ``(k,)`` and an array ``(...)`` for a batch
+    ``(..., k)``.
 
     Raises:
         SamplingRejectedError: if any pilot measurement is non-positive.
     """
-    alpha = alphas.alpha if isinstance(alphas, SumGainSamples) else np.asarray(alphas, float)
-    if np.any(alpha <= 0.0):
-        raise SamplingRejectedError("non-positive pilot measurement; re-sample the round")
-    if n_sensors < 1:
-        raise ValueError(f"n_sensors must be >= 1, got {n_sensors}")
-    noise = _noise_array(noise_vars, alpha.size)
-    mu, var = _data_arrays(spec, data_mean, data_var)
-    cross = target_sum_cross_moment(spec, mu, var)
-    total = float(alpha.sum())
-    den = (total / n_sensors) * float(var.sum()) + n_sensors * float(noise.sum()) / total
-    return cross / den
+    alpha, cross, sum_var = _pilot_inputs(alphas, spec, data_mean, data_var, n_sensors)
+    k = alpha.shape[-1]
+    noise = _noise_array(noise_vars, k)
+    noise_total = k * float(noise_vars) if np.ndim(noise_vars) == 0 else float(noise.sum())
+    total = alpha.sum(axis=-1)
+    beta = cross / ((total / n_sensors) * sum_var + n_sensors * noise_total / total)
+    return float(beta) if beta.ndim == 0 else beta
 
 
 def beta_benchmark(
@@ -383,7 +390,6 @@ def beta_benchmark(
     params: ChannelParams,
     zeta: float,
     n_sensors: int,
-    budget: float | None = None,
 ) -> BetaVector:
     """Location-incognizant averaging benchmark.
 
@@ -395,8 +401,8 @@ def beta_benchmark(
         raise ValueError(f"zeta must lie in (0, 1], got {zeta}")
     if n_sensors < 1:
         raise ValueError(f"n_sensors must be >= 1, got {n_sensors}")
-    g_nom = np.sqrt(zeta * params.tx_power_w) * params.g0**2 / traj.altitude_h**2
-    return BetaVector(np.full(traj.k, 1.0 / (traj.k * n_sensors * g_nom)), budget=budget)
+    g_nom = gain_amplitude(zeta, params) / traj.altitude_h**2
+    return BetaVector(np.full(traj.k, 1.0 / (traj.k * n_sensors * g_nom)))
 
 
 def beta_grid_oracle(

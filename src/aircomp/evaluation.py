@@ -6,6 +6,9 @@ record the squared error against the realized target.  Cells of many
 trials are simulated in vectorized chunks; every policy evaluated at the
 same configuration sees the same deployments, readings, and noise
 (common random numbers), which makes policy gaps directly comparable.
+A chunk runs the array forms of the same protocol steps that
+:func:`run_trial` takes one round at a time, and both resolve a policy
+through one table.
 
 Randomness is derived deterministically from ``(seed, n, k, chunk)`` via
 ``numpy.random.SeedSequence``, with separate child streams for
@@ -19,11 +22,13 @@ the target, ``10 * log10(mse / E[target**2])``.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
-from .channel import ChannelParams, effective_gain_matrix
+from .channel import ChannelParams, effective_gain_matrix, gain_amplitude
 from .estimator import (
     beta_benchmark,
     beta_equal_optimal,
@@ -31,20 +36,20 @@ from .estimator import (
     beta_heuristic,
     beta_heuristic_equal,
     gain_statistics,
+    pilot_accepted,
 )
-from .geometry import SensorField, deploy_sensors, plan_diameter_trajectory
-from .nomographic import (
-    TargetSpec,
-    target_second_moment,
-    target_sum_cross_moment,
-    target_value,
-)
+from .geometry import SensorField, deploy_sensors, plan_diameter_trajectory, scatter_on_disk, squared_ranges
+from .nomographic import TargetSpec, target_second_moment, target_value, target_values
 from .protocol import (
     BetaVector,
+    combine,
     computation_phase,
     draw_sensor_data,
     estimate,
+    pilot_sums,
     sampling_phase,
+    sensor_readings,
+    stop_aggregates,
 )
 from .rng import make_rng, spawn_seeds
 
@@ -141,6 +146,7 @@ class SweepRow:
     std_err: float
     mse_db: float
     trials_used: int
+    error: str = ""  # why the cell failed, "ExceptionClass: message"; empty if it ran
 
 
 @dataclass(frozen=True)
@@ -234,178 +240,203 @@ def _chunk_size(n: int, k: int) -> int:
 
 
 def _policy_label(policy) -> str:
+    return policy if isinstance(policy, str) else "fixed"
+
+
+class _Cell:
+    """The fixed inputs of one operating point, shared by its rounds and policy rules.
+
+    Quantities only some policies need are computed on first use.
+    """
+
+    def __init__(self, config: ExperimentConfig, tspec: TargetSpec):
+        self.config = config
+        self.tspec = tspec
+        self.params = ChannelParams(g0=config.g0, tx_power_w=config.p_watts)
+        self.traj = plan_diameter_trajectory(config.k, config.r_cov, config.h)
+
+    @cached_property
+    def stats(self):
+        return gain_statistics(self.traj, self.config.r_cov, self.params, self.config.zeta)
+
+    @cached_property
+    def fixed_gains(self) -> np.ndarray:
+        return effective_gain_matrix(fixed_deployment(self.config), self.traj, self.params).g
+
+    def gains(self, seed, size: int) -> np.ndarray:
+        """Effective gains ``(size, n, k)`` of ``size`` rounds' deployments."""
+        c = self.config
+        if not c.redeploy_per_trial:
+            return np.broadcast_to(self.fixed_gains, (size, c.n, c.k))
+        x, y = scatter_on_disk(make_rng(seed), c.r_cov, (size, c.n))
+        return gain_amplitude(c.zeta, self.params) / squared_ranges(x, y, self.traj)
+
+
+@dataclass(frozen=True)
+class _Rule:
+    """A policy resolved for one cell.
+
+    ``coefficients`` maps pilot sums ``(..., k)`` to per-stop
+    coefficients ``(..., k)`` if ``per_stop`` is set, else to one equal
+    coefficient per round.  It is ``None`` for the grid oracle, which
+    needs the whole batch.  A ``pilot`` rule rejects rounds whose pilot
+    sums are not all positive.
+    """
+
+    coefficients: Callable | None
+    per_stop: bool = False
+    pilot: bool = False
+
+    def batch(self, alpha):
+        """Coefficients and acceptance flags (``None``: all accepted) for pilot sums ``(S, k)``."""
+        if not self.pilot:
+            return self.coefficients(alpha), None
+        ok = pilot_accepted(alpha)
+        if ok.all():
+            return self.coefficients(alpha), ok
+        beta = np.zeros(alpha.shape if self.per_stop else alpha.shape[:-1])
+        if ok.any():
+            beta[ok] = self.coefficients(alpha[ok])
+        return beta, ok
+
+
+def _constant(beta: float) -> _Rule:
+    return _Rule(lambda alpha: beta)
+
+
+def _heuristic(cell: _Cell) -> _Rule:
+    c = cell.config
+    return _Rule(
+        lambda alpha: beta_heuristic(alpha, cell.tspec, c.data_mean, c.data_var, c.noise_var, c.n).beta,
+        per_stop=True,
+        pilot=True,
+    )
+
+
+def _heuristic_equal(cell: _Cell) -> _Rule:
+    c = cell.config
+    return _Rule(
+        lambda alpha: beta_heuristic_equal(alpha, cell.tspec, c.data_mean, c.data_var, c.noise_var, c.n),
+        pilot=True,
+    )
+
+
+def _optimal_equal(cell: _Cell) -> _Rule:
+    c = cell.config
+    return _constant(beta_equal_optimal(cell.tspec, cell.stats, c.data_mean, c.data_var, c.noise_var))
+
+
+def _benchmark(cell: _Cell) -> _Rule:
+    return _constant(float(beta_benchmark(cell.traj, cell.params, cell.config.zeta, cell.config.n).beta[0]))
+
+
+_POLICIES = {
+    "heuristic": _heuristic,
+    "heuristic-equal": _heuristic_equal,
+    "optimal-equal": _optimal_equal,
+    "benchmark": _benchmark,
+    "grid-oracle": lambda cell: _Rule(None),
+    "zero": lambda cell: _constant(0.0),
+}
+
+
+def _resolve(policy, cell: _Cell) -> _Rule:
+    """Look a policy name up in the table, or wrap a fixed scalar or per-stop vector."""
     if isinstance(policy, str):
-        return policy
-    if isinstance(policy, (int, float)):
-        return "fixed"
-    return "fixed"
+        if policy not in _POLICIES:
+            raise ValueError(f"unknown policy {policy!r}; choose from {POLICY_NAMES}")
+        return _POLICIES[policy](cell)
+    if isinstance(policy, (BetaVector, np.ndarray)):
+        beta = policy.beta if isinstance(policy, BetaVector) else np.asarray(policy, float)
+        if beta.shape != (cell.config.k,):
+            raise ValueError(f"fixed beta must have {cell.config.k} entries, got shape {beta.shape}")
+        if np.all(beta == beta[0]):
+            return _constant(float(beta[0]))  # an equal vector is the scalar policy
+        return _Rule(lambda alpha: beta, per_stop=True)
+    if isinstance(policy, (int, float)) and not isinstance(policy, bool):
+        return _constant(float(policy))
+    raise ValueError(f"unknown policy {policy!r}; choose from {POLICY_NAMES}")
 
 
-class _CellOutcome:
-    __slots__ = ("sqerr", "accept")
+def _grid_search(agg_sum, agg_target, center: float, resolution: int, span: float):
+    """Equal-coefficient grid search scored on one batch of rounds.
 
-    def __init__(self, trials: int):
-        self.sqerr = np.empty(trials)
-        self.accept = np.ones(trials, dtype=bool)
+    ``agg_sum`` holds each round's aggregate sum and ``agg_target`` its
+    target.  Returns the :class:`GridOracleResult` and the squared
+    errors of its best coefficient.
+    """
+
+    def sqerr(b):
+        return (b * agg_sum - agg_target) ** 2
+
+    record = []
+
+    def objective(b):
+        val = float(np.mean(sqerr(b)))
+        record.append((b, val))
+        return val
+
+    beta, mse = beta_grid_oracle(objective, center, resolution=resolution, span=span)
+    grid, values = (np.array(column) for column in zip(*record))
+    result = GridOracleResult(beta=beta, mse=mse, center=center, grid=grid, values=values)
+    return result, sqerr(beta)
 
 
-def _evaluate_cell(config: ExperimentConfig, tspec: TargetSpec, policies, want_aggregates=False):
-    """Simulate one cell and score every policy on the same trials."""
-    n, k, trials = config.n, config.k, config.trials
-    params = ChannelParams(g0=config.g0, tx_power_w=config.p_watts)
-    traj = plan_diameter_trajectory(k, config.r_cov, config.h)
-    sx, sy = traj.stops[:, 0], traj.stops[:, 1]
-    mu = np.broadcast_to(np.float64(config.data_mean), (n,))
-    var = np.broadcast_to(np.float64(config.data_var), (n,))
-    w, v = tspec.weights, tspec.exponents
-    amp = math.sqrt(config.zeta * config.p_watts) * config.g0**2
-    noise_std = math.sqrt(config.noise_var)
+def _evaluate_cell(config: ExperimentConfig, tspec: TargetSpec, policies, grid=(64, 100.0)):
+    """Simulate one cell and score every policy on the same trials.
 
-    cross = target_sum_cross_moment(tspec, mu, var)
-    sum_var = float(var.sum())
-
-    # constant coefficients resolvable before simulation
-    resolved = []
-    stats_cache = None
-
-    def _stats():
-        nonlocal stats_cache
-        if stats_cache is None:
-            stats_cache = gain_statistics(traj, config.r_cov, params, config.zeta)
-        return stats_cache
-
-    for p in policies:
-        if isinstance(p, BetaVector):
-            resolved.append(("vector", _check_len(p.beta, k)))
-        elif isinstance(p, np.ndarray):
-            resolved.append(("vector", _check_len(np.asarray(p, float), k)))
-        elif isinstance(p, (int, float)) and not isinstance(p, bool):
-            resolved.append(("scalar", float(p)))
-        elif p == "zero":
-            resolved.append(("scalar", 0.0))
-        elif p == "benchmark":
-            resolved.append(("scalar", float(beta_benchmark(traj, params, config.zeta, n).beta[0])))
-        elif p == "optimal-equal":
-            b = beta_equal_optimal(tspec, _stats(), mu, var, config.noise_var)
-            resolved.append(("scalar", b))
-        elif p == "heuristic":
-            resolved.append(("heuristic", None))
-        elif p == "heuristic-equal":
-            resolved.append(("heuristic-equal", None))
-        elif p == "grid-oracle":
-            resolved.append(("oracle", None))
-        else:
-            raise ValueError(f"unknown policy {p!r}; choose from {POLICY_NAMES}")
-
-    wants_oracle = any(kind == "oracle" for kind, _ in resolved)
-    keep_aggregates = want_aggregates or wants_oracle
-
-    outcomes = [_CellOutcome(trials) for _ in policies]
-    agg_sum = np.empty(trials) if keep_aggregates else None
-    agg_target = np.empty(trials) if keep_aggregates else None
-
-    if not config.redeploy_per_trial:
-        field0 = fixed_deployment(config)
-        g_fixed = effective_gain_matrix(field0, traj, params).g
-
-    chunk = _chunk_size(n, k)
-    n_chunks = (trials + chunk - 1) // chunk
-    for c in range(n_chunks):
-        lo = c * chunk
-        hi = min(trials, lo + chunk)
-        size = hi - lo
-        streams = np.random.SeedSequence((config.seed, n, k, c)).spawn(4)
-
-        if config.redeploy_per_trial:
-            rng_pos = make_rng(streams[_S_POSITIONS])
-            radius = config.r_cov * np.sqrt(rng_pos.random((size, n)))
-            angle = 2.0 * np.pi * rng_pos.random((size, n))
-            px = radius * np.cos(angle)
-            py = radius * np.sin(angle)
-            d2 = (
-                config.h**2
-                + (px[:, :, None] - sx[None, None, :]) ** 2
-                + (py[:, :, None] - sy[None, None, :]) ** 2
-            )
-            g = amp / d2
-        else:
-            g = np.broadcast_to(g_fixed, (size, n, k))
-
-        alpha = g.sum(axis=1)
-        if noise_std > 0.0:
-            alpha = alpha + noise_std * make_rng(streams[_S_PILOT]).standard_normal((size, k))
-
-        data = mu + np.sqrt(var) * make_rng(streams[_S_DATA]).standard_normal((size, n))
-        dbar = np.einsum("snk,sn->sk", g, data)
-        if noise_std > 0.0:
-            dbar = dbar + noise_std * make_rng(streams[_S_FLYOVER]).standard_normal((size, k))
-        dstar = (data**v) @ w
-        dbar_sum = dbar.sum(axis=1)
-        ok = np.all(alpha > 0.0, axis=1)
-
-        if keep_aggregates:
-            agg_sum[lo:hi] = dbar_sum
-            agg_target[lo:hi] = dstar
-
-        for (kind, value), out in zip(resolved, outcomes):
-            if kind == "scalar":
-                dh = value * dbar_sum
-            elif kind == "vector":
-                dh = dbar @ value
-            elif kind == "heuristic":
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    den = k * (alpha / n) * sum_var + n * config.noise_var / alpha
-                    beta = np.where(ok[:, None], cross / den, 0.0)
-                dh = np.einsum("sk,sk->s", beta, dbar)
-                out.accept[lo:hi] = ok
-            elif kind == "heuristic-equal":
-                total = alpha.sum(axis=1)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    den = (total / n) * sum_var + n * (k * config.noise_var) / total
-                    b = np.where(ok, cross / den, 0.0)
-                dh = b * dbar_sum
-                out.accept[lo:hi] = ok
-            else:  # oracle: scored after all chunks
-                continue
-            out.sqerr[lo:hi] = (dh - dstar) ** 2
-
-    oracle_result = None
+    Returns squared errors and acceptance flags, one row per policy, and
+    the grid search if a policy is ``grid-oracle`` (else ``None``).
+    ``grid`` is that search's ``(resolution, span)``.
+    """
+    cell = _Cell(config, tspec)
+    rules = [_resolve(p, cell) for p in policies]
+    trials = config.trials
+    sqerr = np.empty((len(rules), trials))
+    accept = np.ones((len(rules), trials), dtype=bool)
+    wants_oracle = any(rule.coefficients is None for rule in rules)
     if wants_oracle:
-        center = beta_equal_optimal(tspec, _stats(), mu, var, config.noise_var)
-        record = []
+        agg_sum = np.empty(trials)
+        agg_target = np.empty(trials)
 
-        def objective(b):
-            val = float(np.mean((b * agg_sum - agg_target) ** 2))
-            record.append((b, val))
-            return val
+    chunk = _chunk_size(config.n, config.k)
+    for c, lo in enumerate(range(0, trials, chunk)):
+        hi = min(trials, lo + chunk)
+        # the steps of run_trial, on a chunk of rounds; g stays alive until
+        # the next chunk's exists, so the allocator reuses its pages
+        streams = spawn_seeds((config.seed, config.n, config.k, c), 4)
+        g = cell.gains(streams[_S_POSITIONS], hi - lo)
+        alpha = pilot_sums(g, config.noise_var, streams[_S_PILOT])
+        data = sensor_readings(config.data_mean, config.data_var, streams[_S_DATA], (hi - lo, config.n))
+        dbar = stop_aggregates(g, data, config.noise_var, streams[_S_FLYOVER])
+        target = target_values(tspec, data)
+        for i, rule in enumerate(rules):
+            if rule.coefficients is None:
+                continue
+            beta, ok = rule.batch(alpha)
+            if ok is not None:
+                accept[i, lo:hi] = ok
+            sqerr[i, lo:hi] = (combine(dbar, beta, rule.per_stop) - target) ** 2
+        if wants_oracle:
+            agg_sum[lo:hi] = dbar.sum(axis=1)
+            agg_target[lo:hi] = target
 
-        best_beta, best_mse = beta_grid_oracle(objective, center)
-        grid = np.array([b for b, _ in record])
-        values = np.array([val for _, val in record])
-        oracle_result = GridOracleResult(
-            beta=best_beta, mse=best_mse, center=center, grid=grid, values=values
-        )
-        for (kind, _), out in zip(resolved, outcomes):
-            if kind == "oracle":
-                out.sqerr[:] = (best_beta * agg_sum - agg_target) ** 2
-
-    if want_aggregates:
-        return outcomes, (agg_sum, agg_target), oracle_result
-    return outcomes
+    oracle = None
+    if wants_oracle:
+        center = beta_equal_optimal(tspec, cell.stats, config.data_mean, config.data_var, config.noise_var)
+        oracle, oracle_sqerr = _grid_search(agg_sum, agg_target, center, *grid)
+        for i, rule in enumerate(rules):
+            if rule.coefficients is None:
+                sqerr[i] = oracle_sqerr
+    return sqerr, accept, oracle
 
 
-def _check_len(beta: np.ndarray, k: int) -> np.ndarray:
-    if beta.shape != (k,):
-        raise ValueError(f"fixed beta must have {k} entries, got shape {beta.shape}")
-    return beta.astype(np.float64)
-
-
-def _summarize(out: _CellOutcome, policy) -> PolicyEstimate:
-    used = int(out.accept.sum())
-    rejected = out.accept.size - used
+def _summarize(sqerr: np.ndarray, accept: np.ndarray, policy) -> PolicyEstimate:
+    used = int(accept.sum())
+    rejected = accept.size - used
     if used == 0:
         raise EstimationError("every trial was rejected (non-positive pilot measurements)")
-    vals = out.sqerr[out.accept]
+    vals = sqerr[accept]
     mean = float(vals.mean())
     std_err = float(vals.std(ddof=1) / math.sqrt(used)) if used > 1 else math.nan
     return PolicyEstimate(
@@ -417,17 +448,22 @@ def _summarize(out: _CellOutcome, policy) -> PolicyEstimate:
     )
 
 
-def run_trial(config: ExperimentConfig, policy, trial_seed: int) -> float:
+def run_trial(config: ExperimentConfig, policy, trial_seed) -> float:
     """One protocol round through the composable API; returns the squared error.
 
-    Deterministic in ``(config, policy, trial_seed)``.  Raises
+    Deterministic in ``(config, policy, trial_seed)``.  The round runs
+    the engine's arithmetic, so on a cell's first-chunk streams,
+    ``np.random.SeedSequence((seed, n, k, 0))``, it reproduces the cell
+    with ``trials=1`` bit for bit.  Raises
     :class:`~aircomp.estimator.SamplingRejectedError` when a pilot-using
     policy sees a non-positive measurement.  The ``grid-oracle`` policy
     needs a batch of trials and is rejected here.
     """
     tspec = build_target(config.target, config.n)
-    params = ChannelParams(g0=config.g0, tx_power_w=config.p_watts)
-    traj = plan_diameter_trajectory(config.k, config.r_cov, config.h)
+    cell = _Cell(config, tspec)
+    rule = _resolve(policy, cell)
+    if rule.coefficients is None:
+        raise ValueError("grid-oracle needs a trial batch; use estimate_mse or grid_oracle")
     streams = spawn_seeds(trial_seed, 4)
 
     if config.redeploy_per_trial:
@@ -437,45 +473,13 @@ def run_trial(config: ExperimentConfig, policy, trial_seed: int) -> float:
         )
     else:
         sensors = fixed_deployment(config)
-    gains = effective_gain_matrix(sensors, traj, params)
+    gains = effective_gain_matrix(sensors, cell.traj, cell.params)
     pilots = sampling_phase(gains, config.noise_var, streams[_S_PILOT])
     data = draw_sensor_data(sensors, streams[_S_DATA])
     aggregates = computation_phase(gains, data, config.noise_var, streams[_S_FLYOVER])
 
-    beta = _resolve_single(policy, config, tspec, traj, params, pilots)
-    err = estimate(aggregates, beta) - target_value(tspec, data)
+    err = estimate(aggregates, rule.coefficients(pilots.alpha)) - target_value(tspec, data)
     return err * err
-
-
-def _resolve_single(policy, config, tspec, traj, params, pilots) -> BetaVector:
-    k = config.k
-    if isinstance(policy, BetaVector):
-        _check_len(policy.beta, k)
-        return policy
-    if isinstance(policy, np.ndarray):
-        return BetaVector(_check_len(np.asarray(policy, float), k))
-    if isinstance(policy, (int, float)) and not isinstance(policy, bool):
-        return BetaVector(np.full(k, float(policy)))
-    if policy == "zero":
-        return BetaVector(np.zeros(k))
-    if policy == "benchmark":
-        return beta_benchmark(traj, params, config.zeta, config.n)
-    if policy == "optimal-equal":
-        stats = gain_statistics(traj, config.r_cov, params, config.zeta)
-        b = beta_equal_optimal(tspec, stats, config.data_mean, config.data_var, config.noise_var)
-        return BetaVector(np.full(k, b))
-    if policy == "heuristic":
-        return beta_heuristic(
-            pilots, tspec, config.data_mean, config.data_var, config.noise_var, config.n
-        )
-    if policy == "heuristic-equal":
-        b = beta_heuristic_equal(
-            pilots, tspec, config.data_mean, config.data_var, config.noise_var, config.n
-        )
-        return BetaVector(np.full(k, b))
-    if policy == "grid-oracle":
-        raise ValueError("grid-oracle needs a trial batch; use estimate_mse or grid_oracle")
-    raise ValueError(f"unknown policy {policy!r}; choose from {POLICY_NAMES}")
 
 
 def estimate_mse(config: ExperimentConfig, policy) -> PolicyEstimate:
@@ -486,8 +490,8 @@ def estimate_mse(config: ExperimentConfig, policy) -> PolicyEstimate:
     :class:`EstimationError` if nothing survives.
     """
     tspec = build_target(config.target, config.n)
-    [outcome] = _evaluate_cell(config, tspec, [policy])
-    return _summarize(outcome, policy)
+    sqerr, accept, _ = _evaluate_cell(config, tspec, [policy])
+    return _summarize(sqerr[0], accept[0], policy)
 
 
 def compare_policies(config: ExperimentConfig, policy_a, policy_b) -> GapEstimate:
@@ -497,13 +501,13 @@ def compare_policies(config: ExperimentConfig, policy_a, policy_b) -> GapEstimat
     accounts for the covariance the shared randomness induces.
     """
     tspec = build_target(config.target, config.n)
-    out_a, out_b = _evaluate_cell(config, tspec, [policy_a, policy_b])
-    joint = out_a.accept & out_b.accept
+    sqerr, accept, _ = _evaluate_cell(config, tspec, [policy_a, policy_b])
+    joint = accept[0] & accept[1]
     used = int(joint.sum())
     if used < 2:
         raise EstimationError("not enough jointly accepted trials to compare")
-    va = out_a.sqerr[joint]
-    vb = out_b.sqerr[joint]
+    va = sqerr[0, joint]
+    vb = sqerr[1, joint]
     ma, mb = float(va.mean()), float(vb.mean())
     if ma <= 0.0 or mb <= 0.0:
         raise EstimationError("degenerate comparison: a policy has zero Monte Carlo MSE")
@@ -529,8 +533,8 @@ def sweep(config: ExperimentConfig, axis: str, values, targets=None) -> Experime
         values: strictly ascending positive integers for the axis.
         targets: target selectors (defaults to ``[config.target]``).
 
-    A failing cell is recorded with NaN statistics and zero trials
-    instead of aborting the sweep.
+    A failing cell is recorded with NaN statistics, zero trials and the
+    exception in ``error`` instead of aborting the sweep.
     """
     axis = axis.lower()
     if axis not in ("k", "n"):
@@ -549,9 +553,9 @@ def sweep(config: ExperimentConfig, axis: str, values, targets=None) -> Experime
             try:
                 tspec = build_target(target, cell_cfg.n)
                 reference = target_second_moment(tspec, cell_cfg.data_mean, cell_cfg.data_var)
-                outcomes = _evaluate_cell(cell_cfg, tspec, list(config.policies))
-                for policy, outcome in zip(config.policies, outcomes):
-                    est = _summarize(outcome, policy)
+                sqerr, accept, _ = _evaluate_cell(cell_cfg, tspec, config.policies)
+                for policy, cell_sqerr, cell_accept in zip(config.policies, sqerr, accept):
+                    est = _summarize(cell_sqerr, cell_accept, policy)
                     rows.append(
                         SweepRow(
                             axis_value=value,
@@ -563,7 +567,7 @@ def sweep(config: ExperimentConfig, axis: str, values, targets=None) -> Experime
                             trials_used=est.trials_used,
                         )
                     )
-            except (ValueError, RuntimeError, ArithmeticError):
+            except (ValueError, RuntimeError, ArithmeticError) as exc:
                 for policy in config.policies:
                     rows.append(
                         SweepRow(
@@ -574,6 +578,7 @@ def sweep(config: ExperimentConfig, axis: str, values, targets=None) -> Experime
                             std_err=math.nan,
                             mse_db=math.nan,
                             trials_used=0,
+                            error=f"{type(exc).__name__}: {exc}",
                         )
                     )
     return ExperimentResult(axis=axis, rows=tuple(rows))
@@ -587,24 +592,5 @@ def grid_oracle(config: ExperimentConfig, resolution: int = 64, span: float = 10
     directly comparable with the closed-form policies.
     """
     tspec = build_target(config.target, config.n)
-    _, (agg_sum, agg_target), _ = _evaluate_cell(config, tspec, [], want_aggregates=True)
-    params = ChannelParams(g0=config.g0, tx_power_w=config.p_watts)
-    traj = plan_diameter_trajectory(config.k, config.r_cov, config.h)
-    stats = gain_statistics(traj, config.r_cov, params, config.zeta)
-    center = beta_equal_optimal(tspec, stats, config.data_mean, config.data_var, config.noise_var)
-
-    record = []
-
-    def objective(b):
-        val = float(np.mean((b * agg_sum - agg_target) ** 2))
-        record.append((b, val))
-        return val
-
-    best_beta, best_mse = beta_grid_oracle(objective, center, resolution=resolution, span=span)
-    return GridOracleResult(
-        beta=best_beta,
-        mse=best_mse,
-        center=center,
-        grid=np.array([b for b, _ in record]),
-        values=np.array([val for _, val in record]),
-    )
+    _, _, result = _evaluate_cell(config, tspec, ["grid-oracle"], grid=(resolution, span))
+    return result

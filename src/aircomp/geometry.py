@@ -70,42 +70,6 @@ class SensorField:
             data_var=self.data_var if data_var is None else data_var,
         )
 
-    def to_text(self) -> str:
-        """Serialize to the plain-text key-value + CSV layout.
-
-        One header line ``n = <count>``, a column-header row, then one
-        ``x,y,zeta,mu,var`` row per sensor.  Floats are written with
-        ``repr`` so the round trip is bit-exact.
-        """
-        lines = [f"n = {self.n}", "x,y,zeta,mu,var"]
-        for i in range(self.n):
-            row = (
-                self.positions[i, 0],
-                self.positions[i, 1],
-                self.reflection[i],
-                self.data_mean[i],
-                self.data_var[i],
-            )
-            lines.append(",".join(repr(float(v)) for v in row))
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "SensorField":
-        """Parse the layout produced by :meth:`to_text`."""
-        header, rows = _parse_table(text, expected_columns="x,y,zeta,mu,var")
-        if "n" not in header:
-            raise ValueError("sensor table is missing the 'n = <count>' line")
-        n = int(header["n"])
-        if len(rows) != n:
-            raise ValueError(f"expected {n} sensor rows, found {len(rows)}")
-        table = np.array(rows, dtype=np.float64)
-        return cls(
-            positions=table[:, 0:2],
-            reflection=table[:, 2],
-            data_mean=table[:, 3],
-            data_var=table[:, 4],
-        )
-
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -131,55 +95,6 @@ class Trajectory:
     @property
     def k(self) -> int:
         return self.stops.shape[0]
-
-    def to_text(self) -> str:
-        """Serialize to the plain-text key-value + CSV layout."""
-        lines = [f"altitude_h = {repr(self.altitude_h)}", f"k = {self.k}", "x,y"]
-        for i in range(self.k):
-            lines.append(
-                ",".join(repr(float(v)) for v in (self.stops[i, 0], self.stops[i, 1]))
-            )
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "Trajectory":
-        """Parse the layout produced by :meth:`to_text`."""
-        header, rows = _parse_table(text, expected_columns="x,y")
-        if "altitude_h" not in header or "k" not in header:
-            raise ValueError("trajectory table needs 'altitude_h' and 'k' lines")
-        k = int(header["k"])
-        if len(rows) != k:
-            raise ValueError(f"expected {k} stop rows, found {len(rows)}")
-        return cls(altitude_h=float(header["altitude_h"]), stops=np.array(rows))
-
-
-def _parse_table(text: str, expected_columns: str):
-    """Split key-value header lines from CSV rows; '#' starts a comment."""
-    header: dict[str, str] = {}
-    rows: list[list[float]] = []
-    seen_columns = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if not seen_columns:
-            if "=" in line:
-                key, _, value = line.partition("=")
-                header[key.strip()] = value.strip()
-                continue
-            if line.replace(" ", "") != expected_columns:
-                raise ValueError(
-                    f"line {lineno}: expected column header '{expected_columns}', got '{line}'"
-                )
-            seen_columns = True
-            continue
-        try:
-            rows.append([float(cell) for cell in line.split(",")])
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: bad row '{line}': {exc}") from None
-    if not seen_columns:
-        raise ValueError(f"missing column header '{expected_columns}'")
-    return header, rows
 
 
 def deploy_sensors(
@@ -215,11 +130,20 @@ def deploy_sensors(
         raise ValueError(f"n must be >= 1, got {n}")
     if not r_cov > 0.0:
         raise ValueError(f"r_cov must be positive, got {r_cov}")
-    rng = make_rng(seed)
-    radius = r_cov * np.sqrt(rng.random(n))
-    angle = 2.0 * np.pi * rng.random(n)
-    positions = np.column_stack((radius * np.cos(angle), radius * np.sin(angle)))
-    return SensorField(positions, zeta, data_mean, data_var)
+    x, y = scatter_on_disk(make_rng(seed), r_cov, n)
+    return SensorField(np.column_stack((x, y)), zeta, data_mean, data_var)
+
+
+def scatter_on_disk(rng: np.random.Generator, r_cov: float, shape):
+    """Area-uniform points on the coverage disk as ``(x, y)`` arrays of ``shape``.
+
+    All radius uniforms are drawn before all angle uniforms, so one
+    deployment of ``n`` sensors and a ``(1, n)`` batch of them consume
+    ``rng`` identically.
+    """
+    radius = r_cov * np.sqrt(rng.random(shape))
+    angle = 2.0 * np.pi * rng.random(shape)
+    return radius * np.cos(angle), radius * np.sin(angle)
 
 
 def plan_diameter_trajectory(k: int, r_cov: float, h: float) -> Trajectory:
@@ -255,8 +179,16 @@ def distance(field: SensorField, i: int, traj: Trajectory, k: int) -> float:
 
 def distance_matrix(field: SensorField, traj: Trajectory) -> np.ndarray:
     """All slant ranges as an ``(n, k)`` matrix."""
-    delta = field.positions[:, None, :] - traj.stops[None, :, :]
-    return np.sqrt(traj.altitude_h**2 + np.sum(delta**2, axis=2))
+    return np.sqrt(squared_ranges(field.positions[:, 0], field.positions[:, 1], traj))
+
+
+def squared_ranges(x, y, traj: Trajectory) -> np.ndarray:
+    """Squared slant ranges ``(..., n, k)`` from sensors at ``(x, y)`` to every stop.
+
+    ``x`` and ``y`` have shape ``(..., n)``; leading axes index trials.
+    """
+    sx, sy = traj.stops[:, 0], traj.stops[:, 1]
+    return traj.altitude_h**2 + (x[..., None] - sx) ** 2 + (y[..., None] - sy) ** 2
 
 
 def max_distance_bound(r_cov: float, h: float) -> float:

@@ -53,7 +53,12 @@ def target_value(spec: TargetSpec, data) -> float:
     data = np.asarray(data, dtype=np.float64)
     if data.shape != spec.weights.shape:
         raise ValueError(f"data shape {data.shape} must match spec shape {spec.weights.shape}")
-    return float(np.sum(spec.weights * data**spec.exponents))
+    return float(target_values(spec, data))
+
+
+def target_values(spec: TargetSpec, data) -> np.ndarray:
+    """The target on readings ``(..., n)``; leading axes index rounds."""
+    return (data**spec.exponents) @ spec.weights
 
 
 def gaussian_raw_moment(mu, var, v):

@@ -9,6 +9,7 @@ scalar estimate as a weighted sum of the per-stop aggregates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,37 +65,27 @@ class AggregateSamples:
 
 @dataclass(frozen=True)
 class BetaVector:
-    """Combining coefficients, optionally clamped to a total budget.
+    """Non-negative combining coefficients, one per stop.
 
-    If ``budget`` is set and ``sum(beta)`` exceeds it, the whole vector
-    is rescaled uniformly so the sum equals the budget; coefficients must
-    be non-negative.
+    Leading axes, if any, index rounds: a batch of per-stop vectors.
     """
 
     beta: np.ndarray
-    budget: float | None = None
 
     def __post_init__(self):
         beta = np.asarray(self.beta, dtype=np.float64).copy()
         if beta.ndim == 0:
             beta = beta.reshape(1)
-        if beta.ndim != 1 or beta.size == 0:
-            raise ValueError("beta must be a non-empty 1-d array")
+        if beta.size == 0:
+            raise ValueError("beta must be non-empty")
         if np.any(beta < 0.0):
             raise ValueError("combining coefficients must be non-negative")
-        if self.budget is not None:
-            if not self.budget > 0.0:
-                raise ValueError(f"budget must be positive, got {self.budget}")
-            total = beta.sum()
-            if total > self.budget:
-                beta = beta * (self.budget / total)
-            object.__setattr__(self, "budget", float(self.budget))
         beta.setflags(write=False)
         object.__setattr__(self, "beta", beta)
 
     @property
     def k(self) -> int:
-        return self.beta.size
+        return self.beta.shape[-1]
 
 
 def sampling_phase(gains: GainMatrix, noise_var: float, seed=None) -> SumGainSamples:
@@ -107,10 +98,7 @@ def sampling_phase(gains: GainMatrix, noise_var: float, seed=None) -> SumGainSam
     """
     if not noise_var >= 0.0:
         raise ValueError(f"noise_var must be non-negative, got {noise_var}")
-    alpha = gains.g.sum(axis=0)
-    if noise_var > 0.0:
-        alpha = alpha + np.sqrt(noise_var) * make_rng(seed).standard_normal(gains.k)
-    return SumGainSamples(alpha=alpha, noise_var=noise_var)
+    return SumGainSamples(alpha=pilot_sums(gains.g, noise_var, seed), noise_var=noise_var)
 
 
 def computation_phase(gains: GainMatrix, data, noise_var: float, seed=None) -> AggregateSamples:
@@ -124,17 +112,21 @@ def computation_phase(gains: GainMatrix, data, noise_var: float, seed=None) -> A
         raise ValueError(f"data must have shape ({gains.n},), got {data.shape}")
     if not noise_var >= 0.0:
         raise ValueError(f"noise_var must be non-negative, got {noise_var}")
-    dbar = gains.g.T @ data
-    if noise_var > 0.0:
-        dbar = dbar + np.sqrt(noise_var) * make_rng(seed).standard_normal(gains.k)
-    return AggregateSamples(dbar=dbar, noise_var=noise_var)
+    return AggregateSamples(dbar=stop_aggregates(gains.g, data, noise_var, seed), noise_var=noise_var)
 
 
-def estimate(samples: AggregateSamples, beta: BetaVector) -> float:
-    """Combine per-stop aggregates into the scalar estimate ``sum_k beta_k * dbar_k``."""
-    if beta.k != samples.k:
-        raise ValueError(f"beta has {beta.k} entries but samples have {samples.k}")
-    return float(samples.dbar @ beta.beta)
+def estimate(samples: AggregateSamples, beta) -> float:
+    """Combine per-stop aggregates into the scalar estimate.
+
+    ``beta`` is a :class:`BetaVector` or a ``(k,)`` array, giving
+    ``sum_k beta_k * dbar_k``, or a scalar equal coefficient ``b``,
+    giving ``b * sum_k dbar_k``.
+    """
+    coef = beta.beta if isinstance(beta, BetaVector) else np.asarray(beta, dtype=np.float64)
+    per_stop = coef.ndim > 0
+    if per_stop and coef.shape != (samples.k,):
+        raise ValueError(f"beta has shape {coef.shape} but samples have {samples.k} stops")
+    return float(combine(samples.dbar, coef, per_stop))
 
 
 def draw_sensor_data(field: SensorField, seed=None) -> np.ndarray:
@@ -142,5 +134,41 @@ def draw_sensor_data(field: SensorField, seed=None) -> np.ndarray:
 
     Zero-variance sensors report their mean exactly.
     """
-    std = np.sqrt(field.data_var)
-    return field.data_mean + std * make_rng(seed).standard_normal(field.n)
+    return sensor_readings(field.data_mean, field.data_var, seed, field.n)
+
+
+# Array forms of the protocol steps.  Leading axes index rounds, so the
+# Monte Carlo engine runs a batch of rounds through the same arithmetic
+# as one round through the functions above.
+
+
+def pilot_sums(g, noise_var: float, seed=None) -> np.ndarray:
+    """Per-stop sums ``(..., k)`` of gains ``(..., n, k)`` plus receiver noise."""
+    return _add_noise(g.sum(axis=-2), noise_var, seed)
+
+
+def stop_aggregates(g, data, noise_var: float, seed=None) -> np.ndarray:
+    """Per-stop sums ``(..., k)`` of readings ``(..., n)`` weighted by gains ``(..., n, k)``, plus noise."""
+    return _add_noise(np.einsum("...nk,...n->...k", g, data), noise_var, seed)
+
+
+def sensor_readings(data_mean, data_var, seed, shape) -> np.ndarray:
+    """Gaussian readings of ``shape``, whose last axis indexes sensors."""
+    return data_mean + np.sqrt(data_var) * make_rng(seed).standard_normal(shape)
+
+
+def combine(dbar, beta, per_stop: bool) -> np.ndarray:
+    """Estimates ``(...)`` from aggregates ``(..., k)``.
+
+    Per-stop coefficients ``(..., k)`` weight each stop; otherwise
+    ``beta`` (a scalar or one value per round) scales the aggregate sum.
+    """
+    if per_stop:
+        return np.einsum("...k,...k->...", beta, dbar)
+    return beta * dbar.sum(axis=-1)
+
+
+def _add_noise(x, noise_var: float, seed):
+    if noise_var > 0.0:
+        x = x + math.sqrt(noise_var) * make_rng(seed).standard_normal(x.shape)
+    return x

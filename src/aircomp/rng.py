@@ -10,9 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-SeedLike = "int | np.random.SeedSequence | np.random.Generator | None"
-
-
 def make_rng(seed) -> np.random.Generator:
     """Return a PCG64-backed Generator for an int, SeedSequence, or Generator.
 

@@ -10,7 +10,6 @@ from aircomp import (
     ChannelParams,
     SensorField,
     Trajectory,
-    channel_power_gain,
     deploy_sensors,
     effective_gain_matrix,
     plan_diameter_trajectory,
@@ -37,31 +36,6 @@ class TestChannelParams:
             ChannelParams(tx_power_w=-1.0)
         with pytest.raises(ValueError):
             ChannelParams.from_carrier(0.0)
-
-
-class TestChannelPowerGain:
-    def test_directly_overhead(self):
-        # sensor at disk center, stop overhead at 50 m: g0^2 / 2500
-        got = channel_power_gain(ChannelParams(), 50.0)
-        assert got == pytest.approx(0.0275**2 / 2500.0, rel=1e-12)
-        assert got == pytest.approx(3.025e-7, rel=1e-3)
-
-    def test_at_far_corner(self):
-        # stop at one end of the diameter, sensor at the other end:
-        # D^2 = 50^2 + 20^2 = 2900
-        d = math.sqrt(2900.0)
-        got = channel_power_gain(ChannelParams(), d)
-        assert got == pytest.approx(0.0275**2 / 2900.0, rel=1e-12)
-        assert got == pytest.approx(2.6078e-7, rel=1e-3)
-
-    def test_vectorized(self):
-        d = np.array([50.0, 100.0])
-        got = channel_power_gain(ChannelParams(), d)
-        assert_allclose(got, 0.0275**2 / d**2, rtol=1e-12)
-
-    def test_rejects_nonpositive_distance(self):
-        with pytest.raises(ValueError):
-            channel_power_gain(ChannelParams(), 0.0)
 
 
 class TestEffectiveGainMatrix:

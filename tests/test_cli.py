@@ -250,6 +250,27 @@ class TestSweepCommand:
         assert code == 2
 
 
+    def test_every_cell_failing_exits_3_with_reasons(self, tmp_path, capsys):
+        # Zero-variance zero-mean data has a zero dB reference, so every
+        # cell fails: NaN rows are still written, each reason is reported
+        # on stderr and in the summary, and the run exits 3.
+        out = tmp_path / "run"
+        code = main(
+            [
+                "sweep", "--axis", "k", "--values", "2:3", "--policies", "benchmark,zero",
+                "--data-var", "0", "--data-mean", "0", "--trials", "50", "--out", str(out),
+            ]
+        )
+        assert code == 3
+        rows = [line.split(",") for line in (out / "results.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 4 and all(row[3] == "nan" and row[6] == "0" for row in rows)
+        reason = "ValueError: reference must be positive, got 0.0"
+        stderr = capsys.readouterr().err
+        assert stderr.count(reason) == 2
+        assert "cell k = 2, target = config-1 failed" in stderr
+        assert (out / "summary.txt").read_text().count(f"failed: {reason}") == 2
+
+
 class TestOracleCommand:
     def test_writes_grid_csv(self, tmp_path):
         out = tmp_path / "run"

@@ -437,19 +437,19 @@ class TestPilotCoefficientRules:
         )
         assert_allclose(from_array.beta, from_wrapper.beta, rtol=1e-15)
 
-    def test_budget_rescales_onto_boundary(self):
-        # The budget caps the coefficient sum; exceeding it rescales the
-        # whole vector uniformly onto the boundary.
+    def test_batch_rows_match_single_rounds(self):
+        # The engine applies both rules to a batch of rounds at once; each
+        # row must equal the rule applied to that round alone, bit for bit.
         n = 20
-        spec = TargetSpec(weights=np.ones(n), exponents=np.ones(n, dtype=int))
-        alpha = np.array([5e-6, 6e-6, 7e-6])
-        natural = beta_heuristic(alpha, spec, 0.0, 1.0, 1e-10, n)
-        cap = float(natural.beta.sum()) / 2.0
-        capped = beta_heuristic(alpha, spec, 0.0, 1.0, 1e-10, n, budget=cap)
-        assert capped.beta.sum() == pytest.approx(cap, rel=1e-12)
-        assert_allclose(
-            capped.beta / capped.beta[0], natural.beta / natural.beta[0], rtol=1e-12
-        )
+        spec = TargetSpec(weights=np.arange(1.0, n + 1.0), exponents=np.full(n, 3))
+        alpha = np.random.default_rng(3).uniform(1e-6, 1e-5, size=(6, 4))
+        per_stop = beta_heuristic(alpha, spec, 0.0, 1.0, 1e-12, n).beta
+        pooled = beta_heuristic_equal(alpha, spec, 0.0, 1.0, 1e-12, n)
+        assert per_stop.shape == (6, 4) and pooled.shape == (6,)
+        for row in range(6):
+            single = alpha[row]
+            assert np.array_equal(per_stop[row], beta_heuristic(single, spec, 0.0, 1.0, 1e-12, n).beta)
+            assert pooled[row] == beta_heuristic_equal(single, spec, 0.0, 1.0, 1e-12, n)
 
     def test_sensor_count_validation(self):
         spec = TargetSpec(weights=np.ones(2), exponents=np.ones(2, dtype=int))

@@ -17,7 +17,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from aircomp.estimator import SamplingRejectedError
+from aircomp import evaluation
+from aircomp.estimator import SamplingRejectedError, gain_statistics
 from aircomp.evaluation import (
     POLICY_NAMES,
     TARGET_NAMES,
@@ -172,6 +173,35 @@ class TestRunTrial:
         with pytest.raises(SamplingRejectedError):
             for seed in range(20):
                 run_trial(cfg, "heuristic", trial_seed=seed)
+
+    @pytest.mark.parametrize("policy", [p for p in POLICY_NAMES if p != "grid-oracle"])
+    def test_reproduces_the_engines_first_trial(self, policy, monkeypatch):
+        # On a cell's chunk-0 streams one round through the composable API
+        # is a one-trial cell: same value bit for bit, and rejected exactly
+        # when the engine rejects.  Every case shares one set of gain
+        # statistics, so the quadrature runs once.
+        stats = gain_statistics(plan_diameter_trajectory(5, 10.0, 50.0), 10.0, ChannelParams(), 0.99)
+        monkeypatch.setattr(evaluation, "gain_statistics", lambda *args: stats)
+        mismatches = []
+        for seed in range(40):
+            for noise_var in (0.0, 1e-12, 1e-10):
+                for target in ("config-1", "config-3"):
+                    for redeploy in (True, False):
+                        cfg = ExperimentConfig(
+                            noise_var=noise_var, target=target, seed=seed,
+                            redeploy_per_trial=redeploy, trials=1,
+                        )
+                        streams = np.random.SeedSequence((seed, cfg.n, cfg.k, 0))
+                        try:
+                            engine = estimate_mse(cfg, policy).mse
+                        except EstimationError:
+                            with pytest.raises(SamplingRejectedError):
+                                run_trial(cfg, policy, streams)
+                            continue
+                        single = run_trial(cfg, policy, streams)
+                        if single != engine:
+                            mismatches.append((seed, noise_var, target, redeploy, single, engine))
+        assert mismatches == []
 
     def test_grid_oracle_needs_a_batch(self):
         cfg = ExperimentConfig()
@@ -368,6 +398,7 @@ class TestSweep:
             assert math.isnan(row.mse)
             assert math.isnan(row.mse_db)
             assert row.trials_used == 0
+            assert row.error == "ValueError: reference must be positive, got 0.0"
 
     def test_csv_schema_and_round_trip(self):
         cfg = ExperimentConfig(

@@ -79,19 +79,6 @@ class TestSensorField:
         assert_allclose(other.data_mean, np.ones(4))
         assert_allclose(field.data_mean, np.zeros(4))
 
-    def test_text_round_trip(self):
-        field = deploy_sensors(7, 10.0, zeta=0.7, data_mean=0.3, data_var=1.9, seed=5)
-        text = field.to_text()
-        back = SensorField.from_text(text)
-        assert_allclose(back.positions, field.positions)
-        assert_allclose(back.reflection, field.reflection)
-        assert_allclose(back.data_mean, field.data_mean)
-        assert_allclose(back.data_var, field.data_var)
-
-    def test_from_text_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            SensorField.from_text("not a field\n")
-
 
 class TestTrajectory:
     def test_single_stop_at_center(self):
@@ -108,12 +95,6 @@ class TestTrajectory:
     def test_two_stops_are_endpoints(self):
         traj = plan_diameter_trajectory(2, 8.0, 40.0)
         assert_allclose(traj.stops[:, 0], [-8.0, 8.0])
-
-    def test_text_round_trip(self):
-        traj = plan_diameter_trajectory(4, 10.0, 55.0)
-        back = Trajectory.from_text(traj.to_text())
-        assert back.altitude_h == traj.altitude_h
-        assert_allclose(back.stops, traj.stops)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -111,21 +111,10 @@ class TestBetaVector:
     def test_basic(self):
         beta = BetaVector(np.array([1.0, 2.0]))
         assert beta.k == 2
-        assert beta.budget is None
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             BetaVector(np.array([1.0, -0.5]))
-
-    def test_budget_rescale(self):
-        # exceeding the power budget rescales uniformly onto the boundary
-        beta = BetaVector(np.array([3.0, 1.0]), budget=2.0)
-        assert_allclose(beta.beta, [1.5, 0.5])
-        assert beta.beta.sum() == pytest.approx(2.0)
-
-    def test_budget_inactive_when_feasible(self):
-        beta = BetaVector(np.array([0.5, 0.5]), budget=2.0)
-        assert_allclose(beta.beta, [0.5, 0.5])
 
 
 class TestEstimate:
@@ -133,6 +122,7 @@ class TestEstimate:
         samples = AggregateSamples(np.array([1.0, 2.0, 3.0]), 0.0)
         beta = BetaVector(np.array([1.0, 0.5, 2.0]))
         assert estimate(samples, beta) == pytest.approx(8.0)
+        assert estimate(samples, 2.0) == pytest.approx(12.0)  # one equal coefficient
 
     def test_length_mismatch(self):
         samples = AggregateSamples(np.array([1.0, 2.0]), 0.0)
