@@ -12,13 +12,14 @@ Run commands write ``results.csv``, ``manifest.txt``, and
 parameter as ``key = value`` lines and is itself a valid ``--config``
 file, so any run can be reproduced exactly from its manifest.
 
-Configuration precedence: command-line flags override config-file
-entries, which override built-in defaults.  Config files are flat
-``key = value`` text; ``#`` starts a comment and blank lines are
-ignored.
+Every run parameter is declared once, in ``_PARAMS``: its config key,
+text parser, flag and help.  Configuration precedence: command-line
+flags override config-file entries, which override built-in defaults.
+Config files are flat ``key = value`` text; ``#`` starts a comment and
+blank lines are ignored.
 
 Exit codes: 0 success, 2 configuration error, 3 runtime failure
-(including a sweep in which every cell failed).
+(including a sweep in which no row succeeded).
 """
 
 from __future__ import annotations
@@ -26,11 +27,15 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, fields
+from functools import partial
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
+from . import __version__
 from .channel import ChannelParams
 from .estimator import gain_statistics, mse_model
 from .evaluation import (
@@ -42,14 +47,13 @@ from .evaluation import (
     estimate_mse,
     grid_oracle,
     sweep,
+    target_reference,
     to_db,
 )
 from .geometry import deploy_sensors, distance_matrix, max_distance_bound, plan_diameter_trajectory
 from .nomographic import target_second_moment
 
 __all__ = ["main", "ConfigError", "RunManifest", "parse_config_text", "render_manifest"]
-
-_VERSION = "0.1.0"
 
 
 class ConfigError(ValueError):
@@ -58,16 +62,16 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunManifest:
-    """Every effective parameter of one CLI run."""
+    """Every effective parameter of one CLI run; the field defaults are the built-in ones."""
 
     command: str
     config: ExperimentConfig
     targets: tuple[str, ...]
-    axis: str
-    values: tuple[int, ...]
-    resolution: int
-    span: float
-    out: str
+    out: str | None = None  # required; a run without it is a configuration error
+    axis: str = "k"
+    values: tuple[int, ...] = ()
+    resolution: int = 64
+    span: float = 100.0
 
 
 # ---------------------------------------------------------------- config file
@@ -77,7 +81,7 @@ def parse_config_text(text: str) -> dict[str, str]:
     """Parse flat ``key = value`` text into a string-to-string mapping.
 
     ``#`` starts a comment, blank lines are skipped, duplicate keys are
-    rejected.  Values are coerced later against the schema.
+    rejected.  Values are parsed later by the parameter table.
     """
     data: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -95,27 +99,13 @@ def parse_config_text(text: str) -> dict[str, str]:
     return data
 
 
-def _coerce_int(key, text):
-    try:
-        return int(text)
-    except ValueError:
-        raise ConfigError(f"{key} must be an integer, got {text!r}") from None
-
-
-def _coerce_float(key, text):
-    try:
-        return float(text)
-    except ValueError:
-        raise ConfigError(f"{key} must be a number, got {text!r}") from None
-
-
-def _coerce_bool(key, text):
+def _bool(text):
     low = text.lower()
     if low in ("true", "1", "yes"):
         return True
     if low in ("false", "0", "no"):
         return False
-    raise ConfigError(f"{key} must be true or false, got {text!r}")
+    raise ValueError(f"must be true or false, got {text!r}")
 
 
 def parse_values_spec(text: str) -> tuple[int, ...]:
@@ -140,178 +130,153 @@ def parse_values_spec(text: str) -> tuple[int, ...]:
     return vals
 
 
-def _coerce_name_list(key, text, allowed):
+def _name_list(allowed, text):
     names = tuple(tok.strip() for tok in text.split(",") if tok.strip())
     if not names:
-        raise ConfigError(f"{key} is empty")
-    if key == "targets" and names == ("all",):
+        raise ValueError("is empty")
+    if allowed is TARGET_NAMES and names == ("all",):
         return TARGET_NAMES
     for name in names:
         if name not in allowed:
-            raise ConfigError(f"{key} entry {name!r} not in {allowed}")
+            raise ValueError(f"entry {name!r} not in {allowed}")
     return names
 
 
-_INT_KEYS = ("n", "k", "trials", "seed", "resolution")
-_FLOAT_KEYS = ("r_cov", "h", "p_watts", "noise_var", "zeta", "g0", "data_mean", "data_var", "span")
+def _axis(text):
+    if text not in ("k", "n"):
+        raise ValueError(f"must be 'k' or 'n', got {text!r}")
+    return text
 
 
-def _coerce_file_entries(raw: dict[str, str]) -> dict:
-    out: dict = {}
-    for key, text in raw.items():
-        if key in ("version", "command"):
-            continue  # manifest bookkeeping, not parameters
-        if key in _INT_KEYS:
-            out[key] = _coerce_int(key, text)
-        elif key in _FLOAT_KEYS:
-            out[key] = _coerce_float(key, text)
-        elif key == "redeploy_per_trial":
-            out[key] = _coerce_bool(key, text)
-        elif key == "target":
-            out[key] = text
-        elif key == "targets":
-            out[key] = _coerce_name_list(key, text, TARGET_NAMES)
-        elif key == "policies":
-            out[key] = _coerce_name_list(key, text, POLICY_NAMES)
-        elif key == "axis":
-            out[key] = text
-        elif key == "values":
-            out[key] = parse_values_spec(text)
-        elif key == "out":
-            out[key] = text
-        else:
+class _Param(NamedTuple):
+    """One run parameter: its config and manifest key, text parser, flag and help."""
+
+    key: str
+    parse: Callable[[str], object]  # text -> value, or raises ValueError
+    flag: str
+    help: str
+    command: str | None = None  # the one run command with this flag; None: all of them
+
+
+# Every run parameter, in manifest order.  Config files and flags are both
+# parsed by these rows, and the manifest and the subparsers are built from them.
+_PARAMS = {
+    param.key: param
+    for param in (
+        _Param("n", int, "--n", "number of sensors"),
+        _Param("k", int, "--k", "number of hover stops"),
+        _Param("r_cov", float, "--r-cov", "coverage disk radius in meters"),
+        _Param("h", float, "--altitude", "flight altitude in meters"),
+        _Param("p_watts", float, "--p-watts", "illumination power in watts"),
+        _Param("noise_var", float, "--noise-var", "receiver noise variance in watts"),
+        _Param("zeta", float, "--zeta", "backscatter reflection coefficient in (0, 1]"),
+        _Param("g0", float, "--g0", "free-space gain at 1 m"),
+        _Param("data_mean", float, "--data-mean", "sensor reading mean"),
+        _Param("data_var", float, "--data-var", "sensor reading variance"),
+        _Param("target", str, "--target", f"target function: {', '.join(TARGET_NAMES)}"),
+        _Param("targets", partial(_name_list, TARGET_NAMES), "--targets", "comma list of targets, or 'all'"),
+        _Param("policies", partial(_name_list, POLICY_NAMES), "--policies",
+               f"comma list from {', '.join(POLICY_NAMES)}"),
+        _Param("trials", int, "--trials", "Monte Carlo trials per cell"),
+        _Param("seed", int, "--seed", "root seed"),
+        _Param("redeploy_per_trial", _bool, "--redeploy", "redeploy sensors every trial (true/false)"),
+        _Param("axis", _axis, "--axis", "swept parameter: k or n", "sweep"),
+        _Param("values", parse_values_spec, "--values", "axis values: start:end[:step] or comma list", "sweep"),
+        _Param("resolution", int, "--resolution", "grid points (>= 16)", "oracle"),
+        _Param("span", float, "--span", "multiplicative half-width (> 1)", "oracle"),
+        _Param("out", str, "--out", "output directory for results.csv, manifest.txt, summary.txt"),
+    )
+}
+_CONFIG_KEYS = {field.name for field in fields(ExperimentConfig)}
+
+# dBm spellings of two watt parameters, the only unit conversion: 10**((dbm - 30) / 10) W
+_DBM_FLAGS = {
+    "p_watts": ("--p-dbm", "illumination power in dBm"),
+    "noise_var": ("--noise-dbm", "receiver noise power in dBm"),
+}
+
+
+def _parse(key: str, parse: Callable[[str], object], text: str):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from None
+
+
+def _coerce(entries: dict[str, str]) -> dict:
+    """Parse ``key -> text`` entries through the parameter table."""
+    for key in entries:
+        if key not in _PARAMS:
             raise ConfigError(f"unknown config key {key!r}")
-    return out
+    return {key: _parse(key, _PARAMS[key].parse, text) for key, text in entries.items()}
 
 
 # ------------------------------------------------------------------ manifest
 
 
+def _show(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, tuple):
+        return ",".join(str(v) for v in value)
+    return repr(value) if isinstance(value, float) else str(value)
+
+
 def render_manifest(manifest: RunManifest) -> str:
     """Serialize a run so the text is itself a valid ``--config`` file."""
-    cfg = manifest.config
     lines = [
         "# run manifest; reusable as a --config file",
-        f"version = {_VERSION}",
+        f"version = {__version__}",
         f"command = {manifest.command}",
-        f"n = {cfg.n}",
-        f"k = {cfg.k}",
-        f"r_cov = {cfg.r_cov!r}",
-        f"h = {cfg.h!r}",
-        f"p_watts = {cfg.p_watts!r}",
-        f"noise_var = {cfg.noise_var!r}",
-        f"zeta = {cfg.zeta!r}",
-        f"g0 = {cfg.g0!r}",
-        f"data_mean = {cfg.data_mean!r}",
-        f"data_var = {cfg.data_var!r}",
-        f"target = {cfg.target}",
-        f"targets = {','.join(manifest.targets)}",
-        f"policies = {','.join(cfg.policies)}",
-        f"trials = {cfg.trials}",
-        f"seed = {cfg.seed}",
-        f"redeploy_per_trial = {'true' if cfg.redeploy_per_trial else 'false'}",
-        f"axis = {manifest.axis}",
-        f"values = {','.join(str(v) for v in manifest.values)}",
-        f"resolution = {manifest.resolution}",
-        f"span = {manifest.span!r}",
-        f"out = {manifest.out}",
     ]
+    for key in _PARAMS:
+        value = getattr(manifest.config if key in _CONFIG_KEYS else manifest, key)
+        lines.append(f"{key} = {_show(value)}")
     return "\n".join(lines) + "\n"
 
 
 def _build_manifest(args: argparse.Namespace) -> RunManifest:
-    merged: dict = {}
+    entries: dict[str, str] = {}
     if args.config is not None:
         path = Path(args.config)
         if not path.is_file():
             raise ConfigError(f"config file not found: {path}")
-        merged.update(_coerce_file_entries(parse_config_text(path.read_text())))
+        entries = parse_config_text(path.read_text())
+        for key in ("version", "command"):  # manifest bookkeeping, not parameters
+            entries.pop(key, None)
 
-    # flags override the file
-    flag_keys = [
-        ("n", "n"), ("k", "k"), ("r_cov", "r_cov"), ("altitude", "h"),
-        ("p_watts", "p_watts"), ("noise_var", "noise_var"), ("zeta", "zeta"),
-        ("g0", "g0"), ("data_mean", "data_mean"), ("data_var", "data_var"),
-        ("target", "target"), ("trials", "trials"), ("seed", "seed"),
-        ("resolution", "resolution"), ("span", "span"), ("axis", "axis"),
-    ]
-    for attr, key in flag_keys:
-        value = getattr(args, attr, None)
-        if value is not None:
-            merged[key] = value
-    if getattr(args, "p_dbm", None) is not None:
-        if args.p_watts is not None:
-            raise ConfigError("give either --p-watts or --p-dbm, not both")
-        merged["p_watts"] = 10.0 ** ((args.p_dbm - 30.0) / 10.0)
-    if getattr(args, "noise_dbm", None) is not None:
-        if args.noise_var is not None:
-            raise ConfigError("give either --noise-var or --noise-dbm, not both")
-        merged["noise_var"] = 10.0 ** ((args.noise_dbm - 30.0) / 10.0)
-    if getattr(args, "redeploy", None) is not None:
-        merged["redeploy_per_trial"] = _coerce_bool("redeploy", args.redeploy)
-    if getattr(args, "policies", None) is not None:
-        merged["policies"] = _coerce_name_list("policies", args.policies, POLICY_NAMES)
-    if getattr(args, "targets", None) is not None:
-        merged["targets"] = _coerce_name_list("targets", args.targets, TARGET_NAMES)
-    if getattr(args, "values", None) is not None:
-        merged["values"] = parse_values_spec(args.values)
-    if args.out is not None:
-        merged["out"] = args.out
+    flags = {key: getattr(args, key) for key in _PARAMS if getattr(args, key, None) is not None}
+    for key, (flag, _) in _DBM_FLAGS.items():
+        dbm = getattr(args, f"{key}_dbm")
+        if dbm is not None:
+            if key in flags:
+                raise ConfigError(f"give either {_PARAMS[key].flag} or {flag}, not both")
+            flags[key] = repr(10.0 ** ((_parse(flag, float, dbm) - 30.0) / 10.0))
+    merged = {**_coerce(entries), **_coerce(flags)}
 
-    if merged.get("target") is not None and merged["target"] not in TARGET_NAMES:
-        raise ConfigError(f"target must be one of {TARGET_NAMES}, got {merged['target']!r}")
-
-    config_fields = {
-        k: merged[k]
-        for k in (
-            "n", "k", "r_cov", "h", "p_watts", "noise_var", "zeta", "g0",
-            "data_mean", "data_var", "target", "policies", "trials", "seed",
-            "redeploy_per_trial",
-        )
-        if k in merged
-    }
     try:
-        config = ExperimentConfig(**config_fields)
+        config = ExperimentConfig(**{k: v for k, v in merged.items() if k in _CONFIG_KEYS})
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from None
 
-    targets = merged.get("targets", (config.target,))
-    axis = merged.get("axis", "k")
-    if axis not in ("k", "n"):
-        raise ConfigError(f"axis must be 'k' or 'n', got {axis!r}")
-    values = merged.get("values", ())
-    resolution = merged.get("resolution", 64)
-    span = merged.get("span", 100.0)
-    out = merged.get("out")
-
-    if args.command == "sweep":
-        if not values:
-            raise ConfigError("sweep needs axis values (--values or config 'values')")
-        if any(v < 1 for v in values) or any(b <= a for a, b in zip(values, values[1:])):
-            raise ConfigError("axis values must be strictly ascending positive integers")
-    elif args.command == "single":
-        axis = "k"
-        values = (config.k,)
-    elif args.command == "oracle":
-        axis = "k"
-        values = (config.k,)
-        if resolution < 16:
-            raise ConfigError(f"resolution must be >= 16, got {resolution}")
-        if not span > 1.0:
-            raise ConfigError(f"span must be > 1, got {span}")
-    if out is None:
+    extras = {key: value for key, value in merged.items() if key not in _CONFIG_KEYS}
+    extras.setdefault("targets", (config.target,))
+    if args.command != "sweep":
+        extras.update(axis="k", values=(config.k,))
+    manifest = RunManifest(args.command, config, **extras)
+    values = manifest.values  # (k,) for single and oracle, so only a sweep can fail these
+    if not values:
+        raise ConfigError("sweep needs axis values (--values or config 'values')")
+    if any(v < 1 for v in values) or any(b <= a for a, b in zip(values, values[1:])):
+        raise ConfigError("axis values must be strictly ascending positive integers")
+    if args.command == "oracle":
+        if manifest.resolution < 16:
+            raise ConfigError(f"resolution must be >= 16, got {manifest.resolution}")
+        if not manifest.span > 1.0:
+            raise ConfigError(f"span must be > 1, got {manifest.span}")
+    if manifest.out is None:
         raise ConfigError("an output directory is required (--out)")
-
-    return RunManifest(
-        command=args.command,
-        config=config,
-        targets=tuple(targets),
-        axis=axis,
-        values=tuple(values),
-        resolution=resolution,
-        span=span,
-        out=out,
-    )
+    return manifest
 
 
 # ----------------------------------------------------------------- reporting
@@ -319,6 +284,26 @@ def _build_manifest(args: argparse.Namespace) -> RunManifest:
 
 def _fmt(x: float) -> str:
     return f"{x:.6g}"
+
+
+def _cells(result: ExperimentResult) -> dict:
+    """Rows grouped by ``(axis value, target)``, in sorted cell order."""
+    cells: dict = {}
+    for row in result.rows:
+        cells.setdefault((row.axis_value, row.target), []).append(row)
+    return dict(sorted(cells.items()))
+
+
+def _failures(cell_rows) -> list[str]:
+    """One ``failed`` line per distinct reason in a cell; a reason not every row shares names its policies."""
+    policies: dict[str, list[str]] = {}
+    for row in cell_rows:
+        if row.error:
+            policies.setdefault(row.error, []).append(row.policy)
+    return [
+        f"failed: {error}" if len(names) == len(cell_rows) else f"failed ({', '.join(names)}): {error}"
+        for error, names in policies.items()
+    ]
 
 
 def _summary_text(manifest: RunManifest, result: ExperimentResult) -> str:
@@ -329,13 +314,10 @@ def _summary_text(manifest: RunManifest, result: ExperimentResult) -> str:
         f"policies = {', '.join(cfg.policies)}",
         "",
     ]
-    cells = sorted({(r.axis_value, r.target) for r in result.rows})
-    for axis_value, target in cells:
+    for (axis_value, target), cell_rows in _cells(result).items():
         lines.append(f"[{result.axis} = {axis_value}, target = {target}]")
-        cell_rows = [r for r in result.rows if r.axis_value == axis_value and r.target == target]
         by_policy = {r.policy: r for r in cell_rows}
-        if cell_rows[0].error:
-            lines.append(f"  failed: {cell_rows[0].error}")
+        lines.extend(f"  {line}" for line in _failures(cell_rows))
         for row in cell_rows:
             lines.append(
                 f"  {row.policy:<16} mse = {_fmt(row.mse):<12} "
@@ -355,23 +337,19 @@ def _summary_text(manifest: RunManifest, result: ExperimentResult) -> str:
 
 
 def _oracle_csv_text(result) -> str:
-    lines = ["beta,mse"]
-    for b, val in zip(result.grid, result.values):
-        lines.append(f"{float(b)!r},{float(val)!r}")
-    return "\n".join(lines) + "\n"
+    rows = (f"{float(b)!r},{float(val)!r}" for b, val in zip(result.grid, result.values))
+    return "\n".join(["beta,mse", *rows]) + "\n"
 
 
 def _oracle_summary_text(manifest: RunManifest, result) -> str:
     cfg = manifest.config
-    tspec = build_target(cfg.target, cfg.n)
-    reference = target_second_moment(tspec, cfg.data_mean, cfg.data_var)
     return "\n".join(
         [
             "oracle summary",
             f"grid points = {result.grid.size}; trials = {cfg.trials}; seed = {cfg.seed}",
             f"closed-form center beta = {result.center!r}",
             f"best beta = {result.beta!r}",
-            f"best mse = {result.mse!r} ({_fmt(to_db(result.mse, reference))} dB)",
+            f"best mse = {result.mse!r} ({_fmt(to_db(result.mse, target_reference(cfg)))} dB)",
             f"best/center beta ratio = {_fmt(result.beta / result.center)}",
         ]
     ) + "\n"
@@ -383,34 +361,27 @@ def _oracle_summary_text(manifest: RunManifest, result) -> str:
 def _run(manifest: RunManifest) -> int:
     """Run one command, write its artifacts and return the exit code.
 
-    A sweep reports each failed cell on stderr and exits 3 when no cell
-    succeeded.
+    A sweep reports each failure reason of each cell on stderr and exits
+    3 when no row succeeded.
     """
     out_dir = Path(manifest.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     code = 0
-    if manifest.command in ("sweep", "single"):
+    if manifest.command == "oracle":
+        result = grid_oracle(manifest.config, manifest.resolution, manifest.span)
+        (out_dir / "results.csv").write_text(_oracle_csv_text(result), newline="\n")
+        (out_dir / "summary.txt").write_text(_oracle_summary_text(manifest, result), newline="\n")
+    else:
         result = sweep(manifest.config, manifest.axis, manifest.values, targets=manifest.targets)
         result.write_csv(out_dir / "results.csv")
-        _write_text(out_dir / "summary.txt", _summary_text(manifest, result))
-        failed = {(r.axis_value, r.target): r.error for r in result.rows if r.error}
-        for (axis_value, target), error in failed.items():
-            print(f"cell {result.axis} = {axis_value}, target = {target} failed: {error}", file=sys.stderr)
-        if len(failed) == len({(r.axis_value, r.target) for r in result.rows}):
+        (out_dir / "summary.txt").write_text(_summary_text(manifest, result), newline="\n")
+        for (axis_value, target), cell_rows in _cells(result).items():
+            for line in _failures(cell_rows):
+                print(f"cell {result.axis} = {axis_value}, target = {target} {line}", file=sys.stderr)
+        if all(row.error for row in result.rows):
             code = 3
-    elif manifest.command == "oracle":
-        result = grid_oracle(manifest.config, manifest.resolution, manifest.span)
-        _write_text(out_dir / "results.csv", _oracle_csv_text(result))
-        _write_text(out_dir / "summary.txt", _oracle_summary_text(manifest, result))
-    else:
-        raise ValueError(f"unhandled command {manifest.command!r}")
-    _write_text(out_dir / "manifest.txt", render_manifest(manifest))
+    (out_dir / "manifest.txt").write_text(render_manifest(manifest), newline="\n")
     return code
-
-
-def _write_text(path: Path, text: str) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(text)
 
 
 def _run_validate() -> bool:
@@ -478,50 +449,26 @@ def _run_validate() -> bool:
 # -------------------------------------------------------------------- parser
 
 
-def _add_common_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="flat key = value config file")
-    p.add_argument("--out", help="output directory for results.csv, manifest.txt, summary.txt")
-    p.add_argument("--n", type=int, help="number of sensors")
-    p.add_argument("--k", type=int, help="number of hover stops")
-    p.add_argument("--r-cov", type=float, dest="r_cov", help="coverage disk radius in meters")
-    p.add_argument("--altitude", type=float, help="flight altitude in meters")
-    p.add_argument("--p-watts", type=float, dest="p_watts", help="illumination power in watts")
-    p.add_argument("--p-dbm", type=float, dest="p_dbm", help="illumination power in dBm")
-    p.add_argument("--noise-var", type=float, dest="noise_var", help="receiver noise variance in watts")
-    p.add_argument("--noise-dbm", type=float, dest="noise_dbm", help="receiver noise power in dBm")
-    p.add_argument("--zeta", type=float, help="backscatter reflection coefficient in (0, 1]")
-    p.add_argument("--g0", type=float, help="free-space gain at 1 m")
-    p.add_argument("--data-mean", type=float, dest="data_mean", help="sensor reading mean")
-    p.add_argument("--data-var", type=float, dest="data_var", help="sensor reading variance")
-    p.add_argument("--target", choices=TARGET_NAMES, help="target function")
-    p.add_argument("--targets", help="comma list of targets, or 'all'")
-    p.add_argument("--policies", help=f"comma list from {', '.join(POLICY_NAMES)}")
-    p.add_argument("--trials", type=int, help="Monte Carlo trials per cell")
-    p.add_argument("--seed", type=int, help="root seed")
-    p.add_argument("--redeploy", choices=("true", "false"), help="redeploy sensors every trial")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="aircomp",
         description="Simulate over-the-air aggregation from a hovering collector.",
     )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {_VERSION}")
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_sweep = sub.add_parser("sweep", help="Monte Carlo MSE across an axis")
-    _add_common_options(p_sweep)
-    p_sweep.add_argument("--axis", choices=("k", "n"), help="swept parameter")
-    p_sweep.add_argument("--values", help="axis values: start:end[:step] or comma list")
-
-    p_single = sub.add_parser("single", help="one configuration")
-    _add_common_options(p_single)
-
-    p_oracle = sub.add_parser("oracle", help="equal-coefficient grid search")
-    _add_common_options(p_oracle)
-    p_oracle.add_argument("--resolution", type=int, help="grid points (>= 16)")
-    p_oracle.add_argument("--span", type=float, help="multiplicative half-width (> 1)")
-
+    for command, help_text in (
+        ("sweep", "Monte Carlo MSE across an axis"),
+        ("single", "one configuration"),
+        ("oracle", "equal-coefficient grid search"),
+    ):
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("--config", help="flat key = value config file")
+        for param in _PARAMS.values():
+            if param.command in (None, command):
+                p.add_argument(param.flag, dest=param.key, help=param.help)
+            if param.key in _DBM_FLAGS:
+                flag, dbm_help = _DBM_FLAGS[param.key]
+                p.add_argument(flag, dest=f"{param.key}_dbm", help=dbm_help)
     sub.add_parser("validate", help="fast numerical self-checks")
     return parser
 
@@ -530,16 +477,11 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code if exc.code is not None else 0
-        return int(code)
+    except SystemExit as exc:  # --help, --version and usage errors
+        return int(exc.code or 0)
 
     if args.command == "validate":
-        try:
-            return 0 if _run_validate() else 3
-        except Exception as exc:  # pragma: no cover - defensive
-            print(f"runtime error: {exc}", file=sys.stderr)
-            return 3
+        return 0 if _run_validate() else 3
 
     try:
         manifest = _build_manifest(args)

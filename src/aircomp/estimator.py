@@ -27,6 +27,7 @@ from .channel import ChannelParams, GainMatrix, gain_amplitude
 from .geometry import Trajectory, squared_ranges
 from .nomographic import (
     TargetSpec,
+    _per_sensor,
     gaussian_power_variance,
     gaussian_raw_moment,
     target_mean,
@@ -185,14 +186,6 @@ def _noise_array(noise_vars, k: int) -> np.ndarray:
     return arr
 
 
-def _data_arrays(spec: TargetSpec, data_mean, data_var):
-    mu = np.broadcast_to(np.asarray(data_mean, dtype=np.float64), (spec.n,)).astype(float)
-    var = np.broadcast_to(np.asarray(data_var, dtype=np.float64), (spec.n,)).astype(float)
-    if np.any(var < 0.0):
-        raise ValueError("data_var must be non-negative")
-    return mu, var
-
-
 def mse_model(
     spec: TargetSpec,
     stats: GainStatistics,
@@ -218,7 +211,7 @@ def mse_model(
     k = stats.k
     beta_arr = _as_beta_array(beta, k)
     noise = _noise_array(noise_vars, k)
-    mu, var = _data_arrays(spec, data_mean, data_var)
+    mu, var = _per_sensor(spec, data_mean, data_var)
     w, v = spec.weights, spec.exponents
 
     sum_var = float(var.sum())
@@ -264,7 +257,7 @@ def _exact_mse(spec, t_mean, t_sq, data_mean, data_var, noise_term):
     is ``sum_i (T_i d_i - w_i d_i**v_i) + combined noise`` with sensors
     independent, so only first and second moments of ``T_i`` enter.
     """
-    mu, var = _data_arrays(spec, data_mean, data_var)
+    mu, var = _per_sensor(spec, data_mean, data_var)
     w, v = spec.weights, spec.exponents
     m2 = mu**2 + var
     m_v = gaussian_raw_moment(mu, var, v)
@@ -327,7 +320,7 @@ def _pilot_inputs(alphas, spec: TargetSpec, data_mean, data_var, n_sensors: int)
         raise SamplingRejectedError("non-positive pilot measurement; re-sample the round")
     if n_sensors < 1:
         raise ValueError(f"n_sensors must be >= 1, got {n_sensors}")
-    mu, var = _data_arrays(spec, data_mean, data_var)
+    mu, var = _per_sensor(spec, data_mean, data_var)
     return alpha, target_sum_cross_moment(spec, mu, var), float(var.sum())
 
 

@@ -59,6 +59,9 @@ TARGET_NAMES = ("config-1", "config-2", "config-3")
 # streams per chunk, in a fixed order
 _S_POSITIONS, _S_PILOT, _S_DATA, _S_FLYOVER = range(4)
 
+# what a failing policy or cell raises; a sweep records it in the row instead of stopping
+_FAILURES = (ValueError, RuntimeError, ArithmeticError)
+
 
 class EstimationError(RuntimeError):
     """Raised when a cell produces no usable trials (all rounds rejected)."""
@@ -146,7 +149,7 @@ class SweepRow:
     std_err: float
     mse_db: float
     trials_used: int
-    error: str = ""  # why the cell failed, "ExceptionClass: message"; empty if it ran
+    error: str = ""  # why the row failed, "ExceptionClass: message"; empty if it ran
 
 
 @dataclass(frozen=True)
@@ -260,6 +263,12 @@ class _Cell:
         return gain_statistics(self.traj, self.config.r_cov, self.params, self.config.zeta)
 
     @cached_property
+    def equal_optimal(self) -> float:
+        """The closed-form equal coefficient: the ``optimal-equal`` policy and the grid oracle's centre."""
+        c = self.config
+        return beta_equal_optimal(self.tspec, self.stats, c.data_mean, c.data_var, c.noise_var)
+
+    @cached_property
     def fixed_gains(self) -> np.ndarray:
         return effective_gain_matrix(fixed_deployment(self.config), self.traj, self.params).g
 
@@ -321,11 +330,6 @@ def _heuristic_equal(cell: _Cell) -> _Rule:
     )
 
 
-def _optimal_equal(cell: _Cell) -> _Rule:
-    c = cell.config
-    return _constant(beta_equal_optimal(cell.tspec, cell.stats, c.data_mean, c.data_var, c.noise_var))
-
-
 def _benchmark(cell: _Cell) -> _Rule:
     return _constant(float(beta_benchmark(cell.traj, cell.params, cell.config.zeta, cell.config.n).beta[0]))
 
@@ -333,7 +337,7 @@ def _benchmark(cell: _Cell) -> _Rule:
 _POLICIES = {
     "heuristic": _heuristic,
     "heuristic-equal": _heuristic_equal,
-    "optimal-equal": _optimal_equal,
+    "optimal-equal": lambda cell: _constant(cell.equal_optimal),
     "benchmark": _benchmark,
     "grid-oracle": lambda cell: _Rule(None),
     "zero": lambda cell: _constant(0.0),
@@ -385,17 +389,20 @@ def _grid_search(agg_sum, agg_target, center: float, resolution: int, span: floa
 def _evaluate_cell(config: ExperimentConfig, tspec: TargetSpec, policies, grid=(64, 100.0)):
     """Simulate one cell and score every policy on the same trials.
 
-    Returns squared errors and acceptance flags, one row per policy, and
-    the grid search if a policy is ``grid-oracle`` (else ``None``).
-    ``grid`` is that search's ``(resolution, span)``.
+    Returns squared errors and acceptance flags, one row per policy, the
+    grid search if a policy is ``grid-oracle`` (else ``None``), and per
+    policy the exception that stopped its rule (else ``None``); a failed
+    policy's rows are meaningless and the others are unaffected.
+    ``grid`` is the search's ``(resolution, span)``.
     """
     cell = _Cell(config, tspec)
     rules = [_resolve(p, cell) for p in policies]
+    errors = [None] * len(rules)
     trials = config.trials
     sqerr = np.empty((len(rules), trials))
     accept = np.ones((len(rules), trials), dtype=bool)
-    wants_oracle = any(rule.coefficients is None for rule in rules)
-    if wants_oracle:
+    oracle_rows = [i for i, rule in enumerate(rules) if rule.coefficients is None]
+    if oracle_rows:
         agg_sum = np.empty(trials)
         agg_target = np.empty(trials)
 
@@ -411,24 +418,28 @@ def _evaluate_cell(config: ExperimentConfig, tspec: TargetSpec, policies, grid=(
         dbar = stop_aggregates(g, data, config.noise_var, streams[_S_FLYOVER])
         target = target_values(tspec, data)
         for i, rule in enumerate(rules):
-            if rule.coefficients is None:
+            if rule.coefficients is None or errors[i] is not None:
                 continue
-            beta, ok = rule.batch(alpha)
+            try:
+                beta, ok = rule.batch(alpha)
+            except _FAILURES as exc:
+                errors[i] = exc
+                continue
             if ok is not None:
                 accept[i, lo:hi] = ok
             sqerr[i, lo:hi] = (combine(dbar, beta, rule.per_stop) - target) ** 2
-        if wants_oracle:
+        if oracle_rows:
             agg_sum[lo:hi] = dbar.sum(axis=1)
             agg_target[lo:hi] = target
 
     oracle = None
-    if wants_oracle:
-        center = beta_equal_optimal(tspec, cell.stats, config.data_mean, config.data_var, config.noise_var)
-        oracle, oracle_sqerr = _grid_search(agg_sum, agg_target, center, *grid)
-        for i, rule in enumerate(rules):
-            if rule.coefficients is None:
-                sqerr[i] = oracle_sqerr
-    return sqerr, accept, oracle
+    if oracle_rows:
+        try:
+            oracle, sqerr[oracle_rows] = _grid_search(agg_sum, agg_target, cell.equal_optimal, *grid)
+        except _FAILURES as exc:
+            for i in oracle_rows:
+                errors[i] = exc
+    return sqerr, accept, oracle, errors
 
 
 def _summarize(sqerr: np.ndarray, accept: np.ndarray, policy) -> PolicyEstimate:
@@ -490,7 +501,9 @@ def estimate_mse(config: ExperimentConfig, policy) -> PolicyEstimate:
     :class:`EstimationError` if nothing survives.
     """
     tspec = build_target(config.target, config.n)
-    sqerr, accept, _ = _evaluate_cell(config, tspec, [policy])
+    sqerr, accept, _, errors = _evaluate_cell(config, tspec, [policy])
+    if errors[0] is not None:
+        raise errors[0]
     return _summarize(sqerr[0], accept[0], policy)
 
 
@@ -501,7 +514,10 @@ def compare_policies(config: ExperimentConfig, policy_a, policy_b) -> GapEstimat
     accounts for the covariance the shared randomness induces.
     """
     tspec = build_target(config.target, config.n)
-    sqerr, accept, _ = _evaluate_cell(config, tspec, [policy_a, policy_b])
+    sqerr, accept, _, errors = _evaluate_cell(config, tspec, [policy_a, policy_b])
+    for error in errors:
+        if error is not None:
+            raise error
     joint = accept[0] & accept[1]
     used = int(joint.sum())
     if used < 2:
@@ -533,8 +549,11 @@ def sweep(config: ExperimentConfig, axis: str, values, targets=None) -> Experime
         values: strictly ascending positive integers for the axis.
         targets: target selectors (defaults to ``[config.target]``).
 
-    A failing cell is recorded with NaN statistics, zero trials and the
-    exception in ``error`` instead of aborting the sweep.
+    A failure is recorded instead of aborting the sweep: each row it
+    reaches gets NaN statistics, zero trials and the exception in
+    ``error``.  A policy's own failure (all its trials rejected, or its
+    rule or grid search raising) reaches only its row; a cell-wide one,
+    such as an unusable dB reference, reaches every row of the cell.
     """
     axis = axis.lower()
     if axis not in ("k", "n"):
@@ -553,34 +572,23 @@ def sweep(config: ExperimentConfig, axis: str, values, targets=None) -> Experime
             try:
                 tspec = build_target(target, cell_cfg.n)
                 reference = target_second_moment(tspec, cell_cfg.data_mean, cell_cfg.data_var)
-                sqerr, accept, _ = _evaluate_cell(cell_cfg, tspec, config.policies)
-                for policy, cell_sqerr, cell_accept in zip(config.policies, sqerr, accept):
-                    est = _summarize(cell_sqerr, cell_accept, policy)
-                    rows.append(
-                        SweepRow(
-                            axis_value=value,
-                            target=label,
-                            policy=est.policy,
-                            mse=est.mse,
-                            std_err=est.std_err,
-                            mse_db=to_db(est.mse, reference),
-                            trials_used=est.trials_used,
-                        )
-                    )
-            except (ValueError, RuntimeError, ArithmeticError) as exc:
-                for policy in config.policies:
-                    rows.append(
-                        SweepRow(
-                            axis_value=value,
-                            target=label,
-                            policy=_policy_label(policy),
-                            mse=math.nan,
-                            std_err=math.nan,
-                            mse_db=math.nan,
-                            trials_used=0,
-                            error=f"{type(exc).__name__}: {exc}",
-                        )
-                    )
+                sqerr, accept, _, errors = _evaluate_cell(cell_cfg, tspec, config.policies)
+            except _FAILURES as exc:  # the whole cell failed
+                errors = [exc] * len(config.policies)
+            for i, policy in enumerate(config.policies):
+                error = errors[i]
+                if error is None:
+                    try:
+                        est = _summarize(sqerr[i], accept[i], policy)
+                        mse_db = to_db(est.mse, reference)
+                    except _FAILURES as exc:
+                        error = exc
+                if error is None:
+                    row = SweepRow(value, label, est.policy, est.mse, est.std_err, mse_db, est.trials_used)
+                else:
+                    row = SweepRow(value, label, _policy_label(policy), math.nan, math.nan, math.nan, 0,
+                                   f"{type(error).__name__}: {error}")
+                rows.append(row)
     return ExperimentResult(axis=axis, rows=tuple(rows))
 
 
@@ -592,5 +600,7 @@ def grid_oracle(config: ExperimentConfig, resolution: int = 64, span: float = 10
     directly comparable with the closed-form policies.
     """
     tspec = build_target(config.target, config.n)
-    _, _, result = _evaluate_cell(config, tspec, ["grid-oracle"], grid=(resolution, span))
+    _, _, result, errors = _evaluate_cell(config, tspec, ["grid-oracle"], grid=(resolution, span))
+    if errors[0] is not None:
+        raise errors[0]
     return result

@@ -6,17 +6,23 @@ its run byte for byte), artifact layout, and the exit-code contract:
 0 success, 2 configuration error, 3 runtime failure.
 """
 
+import dataclasses
 import math
 
 import pytest
 
 from aircomp.cli import (
+    _PARAMS,
     ConfigError,
+    RunManifest,
+    _build_manifest,
+    _build_parser,
     main,
     parse_config_text,
     parse_values_spec,
+    render_manifest,
 )
-from aircomp.evaluation import ExperimentResult
+from aircomp.evaluation import ExperimentConfig, ExperimentResult
 
 
 def run_single(tmp_path, name, extra=()):
@@ -163,6 +169,43 @@ class TestManifestRoundTrip:
         assert entries["n"] == "20"  # untouched default
 
 
+class TestParameterTable:
+    def build(self, tmp_path, command, text):
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        return _build_manifest(_build_parser().parse_args([command, "--config", str(path)]))
+
+    def test_every_config_field_is_a_table_key(self):
+        assert {f.name for f in dataclasses.fields(ExperimentConfig)} <= set(_PARAMS)
+
+    def test_every_parameter_round_trips_through_the_manifest(self, tmp_path):
+        manifest = RunManifest(
+            command="sweep",
+            config=ExperimentConfig(
+                n=7, k=3, r_cov=12.5, h=40.0, p_watts=0.5, noise_var=1e-12, zeta=0.8,
+                g0=0.03, data_mean=0.25, data_var=2.0, target="config-3",
+                policies=("zero", "grid-oracle"), trials=40, seed=9, redeploy_per_trial=False,
+            ),
+            targets=("config-2", "config-3"),
+            out=str(tmp_path / "elsewhere"),
+            axis="n",
+            values=(3, 5),
+            resolution=32,
+            span=7.5,
+        )
+        text = render_manifest(manifest)
+        default = parse_config_text(render_manifest(self.build(tmp_path, "sweep", "values = 1\nout = x\n")))
+        entries = parse_config_text(text)
+        assert list(entries) == ["version", "command", *_PARAMS]
+        assert [key for key in _PARAMS if entries[key] == default[key]] == []  # nothing left at its default
+        assert self.build(tmp_path, "sweep", text) == manifest
+
+    def test_redeploy_flag_takes_the_config_spellings(self, tmp_path):
+        for spelling, rendered in (("no", "false"), ("YES", "true"), ("0", "false")):
+            out = run_single(tmp_path, spelling, extra=["--redeploy", spelling])
+            assert parse_config_text((out / "manifest.txt").read_text())["redeploy_per_trial"] == rendered
+
+
 class TestUnitConversions:
     def test_power_dbm(self, tmp_path):
         out = run_single(tmp_path, "run", extra=["--p-dbm", "30"])
@@ -269,6 +312,23 @@ class TestSweepCommand:
         assert stderr.count(reason) == 2
         assert "cell k = 2, target = config-1 failed" in stderr
         assert (out / "summary.txt").read_text().count(f"failed: {reason}") == 2
+
+    def test_policy_failure_is_reported_once_per_cell_with_its_policy(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        code = main(
+            [
+                "sweep", "--axis", "k", "--values", "4,5", "--policies", "benchmark,heuristic",
+                "--noise-var", "1e-2", "--trials", "3", "--seed", "5", "--out", str(out),
+            ]
+        )
+        assert code == 0  # benchmark rows succeeded
+        rows = [line.split(",") for line in (out / "results.csv").read_text().splitlines()[1:]]
+        assert [(row[0], row[2]) for row in rows] == [
+            ("4", "benchmark"), ("4", "heuristic"), ("5", "benchmark"), ("5", "heuristic")
+        ]
+        line = "failed (heuristic): EstimationError: every trial was rejected"
+        assert capsys.readouterr().err.count(line) == 2
+        assert (out / "summary.txt").read_text().count(line) == 2
 
 
 class TestOracleCommand:

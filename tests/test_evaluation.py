@@ -400,6 +400,49 @@ class TestSweep:
             assert row.trials_used == 0
             assert row.error == "ValueError: reference must be positive, got 0.0"
 
+    @pytest.mark.parametrize(
+        "config, failing, reason",
+        [
+            # every heuristic round is rejected at this noise level
+            (
+                ExperimentConfig(noise_var=1e-2, trials=3, seed=5, policies=("benchmark", "heuristic")),
+                "heuristic",
+                "EstimationError: every trial was rejected (non-positive pilot measurements)",
+            ),
+            # zero-mean data puts config-2's closed-form centre at 0
+            (
+                ExperimentConfig(
+                    target="config-2", noise_var=1e-12, trials=200,
+                    policies=("heuristic", "benchmark", "grid-oracle"),
+                ),
+                "grid-oracle",
+                "ValueError: center must be positive, got 0.0",
+            ),
+            # a negative mean makes config-2's per-stop coefficients negative
+            (
+                ExperimentConfig(
+                    target="config-2", data_mean=-1.0, noise_var=1e-12, trials=200,
+                    policies=("heuristic", "benchmark"),
+                ),
+                "heuristic",
+                "ValueError: combining coefficients must be non-negative",
+            ),
+        ],
+        ids=["all-rejected", "degenerate-oracle-centre", "negative-coefficients"],
+    )
+    def test_policy_failure_reaches_only_its_row(self, config, failing, reason):
+        result = sweep(config, "k", [4, 5])
+        assert [(r.axis_value, r.policy) for r in result.rows] == [
+            (k, p) for k in (4, 5) for p in config.policies
+        ]
+        for row in result.rows:
+            if row.policy == failing:
+                assert math.isnan(row.mse) and row.trials_used == 0
+                assert row.error == reason
+            else:
+                assert math.isfinite(row.mse_db) and row.trials_used == config.trials
+                assert row.error == ""
+
     def test_csv_schema_and_round_trip(self):
         cfg = ExperimentConfig(
             trials=300, noise_var=1e-12, policies=("benchmark",), seed=2
@@ -461,6 +504,13 @@ class TestGridOracleBatch:
         cfg = ExperimentConfig(data_var=0.0, data_mean=0.0, trials=100)
         with pytest.raises(ValueError):
             grid_oracle(cfg)
+
+    def test_degenerate_center_raises_through_estimate_mse(self):
+        cfg = ExperimentConfig(target="config-2", trials=100)
+        with pytest.raises(ValueError, match="center must be positive"):
+            estimate_mse(cfg, "grid-oracle")
+        with pytest.raises(ValueError, match="center must be positive"):
+            compare_policies(cfg, "benchmark", "grid-oracle")
 
 
 class TestPolicyAndTargetNames:
