@@ -111,20 +111,21 @@ def _bool(text):
 def parse_values_spec(text: str) -> tuple[int, ...]:
     """Axis values: either ``start:end[:step]`` (inclusive) or a comma list."""
     text = text.strip()
+    parts = text.split(":")
+    if len(parts) > 3:
+        raise ConfigError(f"range must be start:end[:step], got {text!r}")
+    tokens = parts if len(parts) > 1 else [tok for tok in text.split(",") if tok.strip()]
     try:
-        if ":" in text:
-            parts = text.split(":")
-            if len(parts) not in (2, 3):
-                raise ConfigError(f"range must be start:end[:step], got {text!r}")
-            start, end = int(parts[0]), int(parts[1])
-            step = int(parts[2]) if len(parts) == 3 else 1
-            if step < 1:
-                raise ConfigError(f"range step must be >= 1, got {step}")
-            vals = tuple(range(start, end + 1, step))
-        else:
-            vals = tuple(int(tok) for tok in text.split(",") if tok.strip())
+        ints = [int(tok) for tok in tokens]
     except ValueError:
         raise ConfigError(f"values must be integers, got {text!r}") from None
+    if len(parts) == 1:
+        vals = tuple(ints)
+    else:
+        step = ints[2] if len(ints) == 3 else 1
+        if step < 1:
+            raise ConfigError(f"range step must be >= 1, got {step}")
+        vals = tuple(range(ints[0], ints[1] + 1, step))
     if not vals:
         raise ConfigError(f"values is empty: {text!r}")
     return vals
@@ -196,6 +197,13 @@ _DBM_FLAGS = {
 }
 
 
+def _dbm_to_watts(text):
+    try:
+        return 10.0 ** ((float(text) - 30.0) / 10.0)
+    except OverflowError:
+        raise ValueError(f"{text} dBm is out of range") from None
+
+
 def _parse(key: str, parse: Callable[[str], object], text: str):
     try:
         return parse(text)
@@ -251,7 +259,7 @@ def _build_manifest(args: argparse.Namespace) -> RunManifest:
         if dbm is not None:
             if key in flags:
                 raise ConfigError(f"give either {_PARAMS[key].flag} or {flag}, not both")
-            flags[key] = repr(10.0 ** ((_parse(flag, float, dbm) - 30.0) / 10.0))
+            flags[key] = repr(_parse(flag, _dbm_to_watts, dbm))
     merged = {**_coerce(entries), **_coerce(flags)}
 
     try:

@@ -10,10 +10,13 @@ A chunk runs the array forms of the same protocol steps that
 :func:`run_trial` takes one round at a time, and both resolve a policy
 through one table.
 
-Randomness is derived deterministically from ``(seed, n, k, chunk)`` via
-``numpy.random.SeedSequence``, with separate child streams for
-positions, pilot noise, readings, and data-flyover noise, so results are
-reproducible bit-for-bit for a fixed configuration.
+A cell is one sequence of rounds.  Its randomness comes from four
+generators spawned once from ``numpy.random.SeedSequence((seed, n, k))``,
+for positions, pilot noise, readings, and data-flyover noise, and every
+chunk keeps drawing from them.  Each round takes its draws in order and
+reduces on its own, so results are reproducible bit-for-bit for a fixed
+configuration and do not depend on the chunk size, which bounds memory
+only.  :func:`run_trial` on that seed sequence is the cell's first round.
 
 MSE values quoted in dB are normalized by the analytic second moment of
 the target, ``10 * log10(mse / E[target**2])``.
@@ -56,7 +59,7 @@ from .rng import make_rng, spawn_seeds
 POLICY_NAMES = ("heuristic", "heuristic-equal", "optimal-equal", "benchmark", "grid-oracle", "zero")
 TARGET_NAMES = ("config-1", "config-2", "config-3")
 
-# streams per chunk, in a fixed order
+# a cell's streams, in a fixed order
 _S_POSITIONS, _S_PILOT, _S_DATA, _S_FLYOVER = range(4)
 
 # what a failing policy or cell raises; a sweep records it in the row instead of stopping
@@ -99,6 +102,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.n < 1 or self.k < 1:
             raise ValueError(f"n and k must be >= 1, got n={self.n}, k={self.k}")
+        for name in ("r_cov", "h", "p_watts", "noise_var", "zeta", "g0", "data_mean", "data_var"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         for name in ("r_cov", "h", "p_watts", "zeta", "g0"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
@@ -238,8 +244,8 @@ def fixed_deployment(config: ExperimentConfig) -> SensorField:
 
 
 def _chunk_size(n: int, k: int) -> int:
-    # bounded working set: chunk * n * k floats stays near 32 MB
-    return max(64, min(16384, int(4_000_000 // max(n * k, 1))))
+    # bounded working set: chunk * n * k floats stays within 4e6 (32 MB) whenever n * k does
+    return max(1, min(16384, 4_000_000 // (n * k)))
 
 
 def _policy_label(policy) -> str:
@@ -272,12 +278,12 @@ class _Cell:
     def fixed_gains(self) -> np.ndarray:
         return effective_gain_matrix(fixed_deployment(self.config), self.traj, self.params).g
 
-    def gains(self, seed, size: int) -> np.ndarray:
-        """Effective gains ``(size, n, k)`` of ``size`` rounds' deployments."""
+    def gains(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """Effective gains ``(size, n, k)`` of the next ``size`` rounds' deployments."""
         c = self.config
         if not c.redeploy_per_trial:
             return np.broadcast_to(self.fixed_gains, (size, c.n, c.k))
-        x, y = scatter_on_disk(make_rng(seed), c.r_cov, (size, c.n))
+        x, y = scatter_on_disk(rng, c.r_cov, (size, c.n))
         return gain_amplitude(c.zeta, self.params) / squared_ranges(x, y, self.traj)
 
 
@@ -406,16 +412,16 @@ def _evaluate_cell(config: ExperimentConfig, tspec: TargetSpec, policies, grid=(
         agg_sum = np.empty(trials)
         agg_target = np.empty(trials)
 
+    rngs = [make_rng(s) for s in spawn_seeds((config.seed, config.n, config.k), 4)]
     chunk = _chunk_size(config.n, config.k)
-    for c, lo in enumerate(range(0, trials, chunk)):
+    for lo in range(0, trials, chunk):
         hi = min(trials, lo + chunk)
-        # the steps of run_trial, on a chunk of rounds; g stays alive until
-        # the next chunk's exists, so the allocator reuses its pages
-        streams = spawn_seeds((config.seed, config.n, config.k, c), 4)
-        g = cell.gains(streams[_S_POSITIONS], hi - lo)
-        alpha = pilot_sums(g, config.noise_var, streams[_S_PILOT])
-        data = sensor_readings(config.data_mean, config.data_var, streams[_S_DATA], (hi - lo, config.n))
-        dbar = stop_aggregates(g, data, config.noise_var, streams[_S_FLYOVER])
+        # the steps of run_trial, on the next chunk of rounds; g stays alive
+        # until the next chunk's exists, so the allocator reuses its pages
+        g = cell.gains(rngs[_S_POSITIONS], hi - lo)
+        alpha = pilot_sums(g, config.noise_var, rngs[_S_PILOT])
+        data = sensor_readings(config.data_mean, config.data_var, rngs[_S_DATA], (hi - lo, config.n))
+        dbar = stop_aggregates(g, data, config.noise_var, rngs[_S_FLYOVER])
         target = target_values(tspec, data)
         for i, rule in enumerate(rules):
             if rule.coefficients is None or errors[i] is not None:
@@ -463,9 +469,9 @@ def run_trial(config: ExperimentConfig, policy, trial_seed) -> float:
     """One protocol round through the composable API; returns the squared error.
 
     Deterministic in ``(config, policy, trial_seed)``.  The round runs
-    the engine's arithmetic, so on a cell's first-chunk streams,
-    ``np.random.SeedSequence((seed, n, k, 0))``, it reproduces the cell
-    with ``trials=1`` bit for bit.  Raises
+    the engine's arithmetic on the engine's draws, so on a cell's seed
+    sequence, ``np.random.SeedSequence((seed, n, k))``, it reproduces the
+    first trial of the cell bit for bit, whatever its trial count.  Raises
     :class:`~aircomp.estimator.SamplingRejectedError` when a pilot-using
     policy sees a non-positive measurement.  The ``grid-oracle`` policy
     needs a batch of trials and is rejected here.

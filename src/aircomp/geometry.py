@@ -137,12 +137,18 @@ def deploy_sensors(
 def scatter_on_disk(rng: np.random.Generator, r_cov: float, shape):
     """Area-uniform points on the coverage disk as ``(x, y)`` arrays of ``shape``.
 
-    All radius uniforms are drawn before all angle uniforms, so one
-    deployment of ``n`` sensors and a ``(1, n)`` batch of them consume
-    ``rng`` identically.
+    The last axis of ``shape`` indexes sensors and leading axes index
+    rounds.  Each round draws its ``n`` radius uniforms, then its ``n``
+    angle uniforms, so an ``(m, n)`` batch consumes ``rng`` exactly as
+    ``m`` successive ``n``-sensor deployments do.
     """
-    radius = r_cov * np.sqrt(rng.random(shape))
-    angle = 2.0 * np.pi * rng.random(shape)
+    *rounds, n = np.atleast_1d(shape)
+    u = rng.random((*rounds, 2, n))
+    radius, angle = u[..., 0, :], u[..., 1, :]
+    # in place: the transformed rows need no second (..., 2, n) buffer
+    np.sqrt(radius, out=radius)
+    radius *= r_cov
+    angle *= 2.0 * np.pi
     return radius * np.cos(angle), radius * np.sin(angle)
 
 

@@ -57,8 +57,13 @@ def target_value(spec: TargetSpec, data) -> float:
 
 
 def target_values(spec: TargetSpec, data) -> np.ndarray:
-    """The target on readings ``(..., n)``; leading axes index rounds."""
-    return (data**spec.exponents) @ spec.weights
+    """The target on readings ``(..., n)``; leading axes index rounds.
+
+    Each round is reduced on its own, so its value does not depend on
+    how many rounds share the batch (a matmul would round a batch row
+    differently from a lone row).
+    """
+    return np.einsum("...n,n->...", data**spec.exponents, spec.weights)
 
 
 def gaussian_raw_moment(mu, var, v):
@@ -137,8 +142,7 @@ def target_sum_cross_moment(spec: TargetSpec, data_mean, data_var) -> float:
     """
     mu, var = _per_sensor(spec, data_mean, data_var)
     w = spec.weights
-    m_v = gaussian_raw_moment(mu, var, spec.exponents)
-    m_v1 = gaussian_raw_moment(mu, var, spec.exponents + 1)
+    m_v, m_v1 = gaussian_raw_moment(mu, var, np.stack((spec.exponents, spec.exponents + 1)))
     total_mean = np.sum(w * m_v)
     return float(np.sum(w * m_v1 + mu * (total_mean - w * m_v)))
 

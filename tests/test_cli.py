@@ -90,8 +90,10 @@ class TestValuesSpec:
             parse_values_spec("5:1")
         with pytest.raises(ConfigError, match="empty"):
             parse_values_spec("")
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="step"):
             parse_values_spec("2:10:0")
+        with pytest.raises(ConfigError, match="start:end"):
+            parse_values_spec("1:2:3:4")
 
     def test_non_integer_rejected(self):
         with pytest.raises(ConfigError):
@@ -228,6 +230,11 @@ class TestUnitConversions:
         assert code == 0
         entries = parse_config_text((out / "manifest.txt").read_text())
         assert float(entries["noise_var"]) == pytest.approx(1e-12, rel=1e-12)
+
+    @pytest.mark.parametrize("flag", ["--p-dbm", "--noise-dbm"])
+    def test_overflowing_dbm_is_config_error(self, tmp_path, capsys, flag):
+        assert main(["single", "--out", str(tmp_path / "x"), flag, "1e6"]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {flag}: ")
 
     def test_conflicting_power_flags(self, tmp_path):
         code = main(
@@ -397,6 +404,11 @@ class TestExitCodes:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("n = 5\nn = 6\n")
         assert main(["single", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+
+    def test_non_finite_parameter_is_config_error(self, tmp_path, capsys):
+        assert main(["single", "--out", str(tmp_path / "x"), "--noise-var", "nan"]) == 2
+        assert "noise_var must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_bad_bool_is_config_error(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

@@ -93,6 +93,14 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(policies=("benchmark", "nonsense"))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "name", ["r_cov", "h", "p_watts", "noise_var", "zeta", "g0", "data_mean", "data_var"]
+    )
+    def test_non_finite_values_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            ExperimentConfig(**{name: value})
+
 
 class TestTargets:
     """Named target configurations and the dB reference."""
@@ -176,10 +184,10 @@ class TestRunTrial:
 
     @pytest.mark.parametrize("policy", [p for p in POLICY_NAMES if p != "grid-oracle"])
     def test_reproduces_the_engines_first_trial(self, policy, monkeypatch):
-        # On a cell's chunk-0 streams one round through the composable API
-        # is a one-trial cell: same value bit for bit, and rejected exactly
-        # when the engine rejects.  Every case shares one set of gain
-        # statistics, so the quadrature runs once.
+        # On a cell's seed sequence one round through the composable API is
+        # the first trial of a 64-trial cell: same value bit for bit, and
+        # rejected exactly when the engine rejects.  Every case shares one
+        # set of gain statistics, so the quadrature runs once.
         stats = gain_statistics(plan_diameter_trajectory(5, 10.0, 50.0), 10.0, ChannelParams(), 0.99)
         monkeypatch.setattr(evaluation, "gain_statistics", lambda *args: stats)
         mismatches = []
@@ -189,16 +197,19 @@ class TestRunTrial:
                     for redeploy in (True, False):
                         cfg = ExperimentConfig(
                             noise_var=noise_var, target=target, seed=seed,
-                            redeploy_per_trial=redeploy, trials=1,
+                            redeploy_per_trial=redeploy, trials=64,
                         )
-                        streams = np.random.SeedSequence((seed, cfg.n, cfg.k, 0))
-                        try:
-                            engine = estimate_mse(cfg, policy).mse
-                        except EstimationError:
+                        sqerr, accept, _, errors = evaluation._evaluate_cell(
+                            cfg, build_target(target, cfg.n), [policy]
+                        )
+                        assert errors == [None]
+                        streams = np.random.SeedSequence((seed, cfg.n, cfg.k))
+                        if not accept[0, 0]:
                             with pytest.raises(SamplingRejectedError):
                                 run_trial(cfg, policy, streams)
                             continue
                         single = run_trial(cfg, policy, streams)
+                        engine = sqerr[0, 0]
                         if single != engine:
                             mismatches.append((seed, noise_var, target, redeploy, single, engine))
         assert mismatches == []
@@ -279,6 +290,45 @@ class TestEstimateMse:
         assert est_fixed.mse != est_moving.mse
         # conditioning on one layout removes the deployment spread
         assert est_fixed.std_err < est_moving.std_err
+
+
+class TestChunking:
+    """The work chunk bounds memory and moves no number."""
+
+    def test_results_do_not_depend_on_chunk_size(self, monkeypatch):
+        stats = gain_statistics(plan_diameter_trajectory(5, 10.0, 50.0), 10.0, ChannelParams(), 0.99)
+        monkeypatch.setattr(evaluation, "gain_statistics", lambda *args: stats)
+        chunk_sizes = (evaluation._chunk_size, lambda n, k: 1, lambda n, k: 7)
+        for noise_var in (0.0, 1e-12, 1e-10):
+            for target in ("config-1", "config-3"):
+                for redeploy in (True, False):
+                    cfg = ExperimentConfig(
+                        noise_var=noise_var, target=target, seed=5,
+                        redeploy_per_trial=redeploy, trials=50,
+                    )
+                    outcomes = []
+                    for chunk_size in chunk_sizes:
+                        monkeypatch.setattr(evaluation, "_chunk_size", chunk_size)
+                        sqerr, accept, oracle, errors = evaluation._evaluate_cell(
+                            cfg, build_target(target, cfg.n), POLICY_NAMES
+                        )
+                        assert errors == [None] * len(POLICY_NAMES)
+                        outcomes.append((
+                            sqerr.tobytes(), accept.tobytes(), oracle.beta, oracle.mse,
+                            oracle.grid.tobytes(), oracle.values.tobytes(),
+                        ))
+                    assert outcomes[1:] == outcomes[:1] * 2, (noise_var, target, redeploy)
+
+    def test_chunk_size_bounds_the_working_set(self):
+        # arithmetic only: nothing is allocated at these sizes
+        for n in (1, 2, 20, 2000, 10**4, 10**5, 10**6, 4 * 10**6, 10**7):
+            for k in (1, 5, 20, 100):
+                chunk = evaluation._chunk_size(n, k)
+                assert 1 <= chunk <= 16384
+                if n * k <= 4_000_000:
+                    assert chunk * n * k <= 4_000_000, (n, k, chunk)
+        assert evaluation._chunk_size(20, 5) == 16384
+        assert evaluation._chunk_size(2000, 20) == 100
 
 
 class TestFixedDeployment:

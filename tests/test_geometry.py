@@ -15,6 +15,8 @@ from aircomp import (
     max_distance_bound,
     plan_diameter_trajectory,
 )
+from aircomp.geometry import scatter_on_disk
+from aircomp.rng import make_rng
 
 
 class TestDeploySensors:
@@ -62,6 +64,26 @@ class TestDeploySensors:
             deploy_sensors(5, 10.0, zeta=1.5)
         with pytest.raises(ValueError):
             deploy_sensors(5, 10.0, data_var=-0.1)
+
+
+class TestScatterOnDisk:
+    def test_batch_equals_successive_deployments(self):
+        batch = scatter_on_disk(make_rng(3), 10.0, (6, 20))
+        rng = make_rng(3)
+        rounds = [scatter_on_disk(rng, 10.0, 20) for _ in range(6)]
+        for got, want in zip(batch, zip(*rounds)):
+            assert got.shape == (6, 20)
+            assert got.tobytes() == np.stack(want).tobytes()
+
+    def test_seeded_layouts_keep_the_polar_draw(self):
+        # n radius uniforms, then n angle uniforms: the layout every seeded
+        # deploy_sensors and fixed_deployment call has always produced
+        for seed in (0, 1, 9, np.random.SeedSequence((1, 20, 5))):
+            rng = make_rng(seed)
+            radius = 10.0 * np.sqrt(rng.random(20))
+            angle = 2.0 * np.pi * rng.random(20)
+            expected = np.column_stack((radius * np.cos(angle), radius * np.sin(angle)))
+            assert deploy_sensors(20, 10.0, seed=seed).positions.tobytes() == expected.tobytes()
 
 
 class TestSensorField:
