@@ -49,7 +49,6 @@ from .geometry import (
     SensorField,
     Trajectory,
     deploy_sensors,
-    distance,
     distance_matrix,
     max_distance_bound,
     plan_diameter_trajectory,
@@ -83,7 +82,6 @@ __all__ = [
     "Trajectory",
     "deploy_sensors",
     "plan_diameter_trajectory",
-    "distance",
     "distance_matrix",
     "max_distance_bound",
     # channel

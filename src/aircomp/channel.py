@@ -16,9 +16,6 @@ import numpy as np
 
 from .geometry import SensorField, Trajectory, squared_ranges
 
-SPEED_OF_LIGHT = 2.99792458e8
-
-
 @dataclass(frozen=True)
 class ChannelParams:
     """Carrier-dependent channel constant and UAV transmit power.
@@ -37,13 +34,6 @@ class ChannelParams:
             raise ValueError(f"g0 must be positive, got {self.g0}")
         if not self.tx_power_w > 0.0:
             raise ValueError(f"tx_power_w must be positive, got {self.tx_power_w}")
-
-    @classmethod
-    def from_carrier(cls, carrier_hz: float, tx_power_w: float = 1.0) -> "ChannelParams":
-        """Build params from a carrier frequency in Hz."""
-        if not carrier_hz > 0.0:
-            raise ValueError(f"carrier_hz must be positive, got {carrier_hz}")
-        return cls(g0=SPEED_OF_LIGHT / (4.0 * math.pi * carrier_hz), tx_power_w=tx_power_w)
 
 
 @dataclass(frozen=True)

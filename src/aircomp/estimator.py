@@ -15,16 +15,23 @@ Two analytic error models coexist deliberately and are never merged:
 Coefficient rules that use pilot measurements (:func:`beta_heuristic`,
 :func:`beta_heuristic_equal`) treat every sensor's gain at stop ``k`` as
 the measured per-stop average ``alpha_k / n``.
+
+The gain statistics of a sensor uniform on the disk
+(:func:`gain_statistics`) are exact in angle, through the Poisson kernel,
+so only a one-dimensional Gauss-Legendre rule in radius is left.  The
+same formulas serve every stop plan, on or off a diameter, and stay
+accurate at low altitude where the gain under a stop is a narrow spike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .channel import ChannelParams, GainMatrix, gain_amplitude
-from .geometry import Trajectory, squared_ranges
+from .geometry import Trajectory
 from .nomographic import (
     TargetSpec,
     _per_sensor,
@@ -96,28 +103,69 @@ class MseBreakdown:
         return self.quadratic_a * beta**2 - 2.0 * self.linear_b * beta + self.constant_c
 
 
-def _disk_rule(r_cov: float, radial_nodes: int, angular_nodes: int):
-    """Product quadrature for averaging over the uniform disk.
+_PAIR_BLOCK = 64  # stop pairs per block of the radial rule
 
-    Gauss-Legendre in radius (with the area weight ``2 r / r_cov**2``
-    folded in) times a midpoint rule in angle, which is spectrally
-    accurate for the periodic direction.  Weights sum to 1.
+
+@lru_cache(maxsize=8)
+def _gauss_legendre(nodes: int):
+    """Gauss-Legendre nodes and weights on ``[-1, 1]``, computed once per node count."""
+    z, w = np.polynomial.legendre.leggauss(nodes)
+    z.setflags(write=False)
+    w.setflags(write=False)
+    return z, w
+
+
+def _inverse_range_moments(traj: Trajectory, r_cov: float, nodes: int):
+    """Disk averages ``E[1/d_j**2]`` ``(k,)`` and ``E[1/(d_j**2 d_k**2)]`` ``(k, k)``.
+
+    With the sensor at radius ``r`` and stop ``j`` at distance ``rho_j``
+    from the centre, ``d_j**2 = a_j - b_j cos(theta - psi_j)`` where
+    ``a = h**2 + r**2 + rho**2`` and ``b = 2 r rho``.  The Poisson kernel
+    ``1/(a - b cos theta) = (1/q) sum_n t**|n| e**(i n theta)``, with
+    ``q = sqrt(a**2 - b**2)`` and ``t = b / (a + q)``, averages over the
+    angle exactly: the mean is ``1/q`` and the cross moment of stops
+    ``phi`` apart is ``(1 - u**2) / (q_j q_k (1 - 2 u cos phi + u**2))``
+    with ``u = t_j t_k``.  Every factor that vanishes at low altitude is
+    formed as a sum of non-negative terms, so nothing cancels:
+    ``1 - t = (a - b + q) / (a + q)`` with ``a - b = h**2 + (r - rho)**2``,
+    ``1 - u = (1 - t_j) + t_j (1 - t_k)``, and the denominator is
+    ``(1 - u)**2 + 4 u sin(phi/2)**2``.  What is left is a Gauss-Legendre
+    rule of ``nodes`` points on each radial segment between the stops'
+    distances, where the integrand peaks.
     """
-    x, w = np.polynomial.legendre.leggauss(radial_nodes)
-    r = 0.5 * r_cov * (x + 1.0)
-    w_r = w * (0.5 * r_cov) * (2.0 * r / r_cov**2)
-    theta = (np.arange(angular_nodes) + 0.5) * (2.0 * np.pi / angular_nodes)
-    px = np.outer(r, np.cos(theta)).ravel()
-    py = np.outer(r, np.sin(theta)).ravel()
-    wgt = np.repeat(w_r, angular_nodes) / angular_nodes
-    return px, py, wgt
-
-
-def _gain_moments(traj, r_cov, params, zeta, radial_nodes, angular_nodes):
-    px, py, wgt = _disk_rule(r_cov, radial_nodes, angular_nodes)
-    g = gain_amplitude(zeta, params) / squared_ranges(px, py, traj)
-    mean = wgt @ g
-    second = g.T @ (g * wgt[:, None])
+    x, y = traj.stops[:, 0], traj.stops[:, 1]
+    j, k = np.triu_indices(traj.k)  # each pair of stops once
+    # sin(phi/2)**2 for the angle phi between each pair, from their cross and dot products
+    spread = np.sin(0.5 * np.arctan2(x[j] * y[k] - y[j] * x[k], x[j] * x[k] + y[j] * y[k])) ** 2
+    rho = np.hypot(x, y)
+    edges = np.unique(np.concatenate(([0.0, r_cov], rho[(rho > 0.0) & (rho < r_cov)])))
+    rho = rho[:, None]
+    z, w = _gauss_legendre(nodes)
+    h2 = traj.altitude_h**2
+    mean = np.zeros(traj.k)
+    pairs = np.zeros(j.size)
+    # (pairs, nodes) temporaries stay cache-sized however many stops there are
+    blocks = [slice(s, s + _PAIR_BLOCK) for s in range(0, j.size, _PAIR_BLOCK)]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        half = 0.5 * (hi - lo)
+        r = lo + half * (1.0 + z)
+        # Gauss-Legendre weights times the area density 2 r / r_cov**2
+        wr = half * w * (2.0 * r / r_cov**2)
+        # (stop, node) arrays: each operation runs over contiguous radial nodes
+        below = h2 + (r - rho) ** 2  # a - b
+        q = np.sqrt(below * (h2 + (r + rho) ** 2))
+        a_plus_q = h2 + r**2 + rho**2 + q
+        t = 2.0 * r * rho / a_plus_q
+        one_minus_t = (below + q) / a_plus_q
+        mean += (1.0 / q) @ wr
+        for b in blocks:
+            jb, kb = j[b], k[b]
+            u = t[jb] * t[kb]
+            one_minus_u = one_minus_t[jb] + t[jb] * one_minus_t[kb]
+            denom = q[jb] * q[kb] * (one_minus_u**2 + 4.0 * u * spread[b, None])
+            pairs[b] += (one_minus_u * (1.0 + u) / denom) @ wr
+    second = np.empty((traj.k, traj.k))
+    second[j, k] = second[k, j] = pairs
     return mean, second
 
 
@@ -127,31 +175,31 @@ def gain_statistics(
     params: ChannelParams,
     zeta: float,
     radial_nodes: int = 256,
-    angular_nodes: int = 256,
 ) -> GainStatistics:
     """Per-stop gain statistics for a sensor uniform on the coverage disk.
 
-    Deterministic polar product quadrature; the rule is re-evaluated at
-    doubled resolution and the refinement must agree to 1e-6 relative,
-    otherwise :class:`QuadratureConvergenceError` is raised.  The refined
-    values are returned.
+    Exact in angle and a Gauss-Legendre rule in radius, split at every
+    stop's distance from the centre (see :func:`_inverse_range_moments`).
+    The rule is re-evaluated with doubled radial nodes and the refinement
+    must agree to 1e-6 relative, otherwise
+    :class:`QuadratureConvergenceError` is raised.  The refined values
+    are returned.
 
     Args:
         traj: stop plan (stops may lie anywhere, altitude sets the floor).
         r_cov: coverage-disk radius, ``> 0``.
         params: channel constants.
         zeta: common reflection coefficient in ``(0, 1]``.
-        radial_nodes: base number of radial nodes (``>= 16``).
-        angular_nodes: base number of angular nodes (``>= 16``).
+        radial_nodes: base number of radial nodes per segment (``>= 16``).
     """
     if not r_cov > 0.0:
         raise ValueError(f"r_cov must be positive, got {r_cov}")
     if not 0.0 < zeta <= 1.0:
         raise ValueError(f"zeta must lie in (0, 1], got {zeta}")
-    if radial_nodes < 16 or angular_nodes < 16:
-        raise ValueError("quadrature needs at least 16 nodes per direction")
-    mean_a, second_a = _gain_moments(traj, r_cov, params, zeta, radial_nodes, angular_nodes)
-    mean_b, second_b = _gain_moments(traj, r_cov, params, zeta, 2 * radial_nodes, 2 * angular_nodes)
+    if radial_nodes < 16:
+        raise ValueError(f"quadrature needs at least 16 radial nodes, got {radial_nodes}")
+    mean_a, second_a = _inverse_range_moments(traj, r_cov, radial_nodes)
+    mean_b, second_b = _inverse_range_moments(traj, r_cov, 2 * radial_nodes)
     scale = max(float(np.max(np.abs(mean_b))), np.finfo(float).tiny)
     scale2 = max(float(np.max(np.abs(second_b))), np.finfo(float).tiny)
     err = max(
@@ -162,9 +210,12 @@ def gain_statistics(
         raise QuadratureConvergenceError(
             f"disk quadrature changed by {err:.3e} relative under refinement"
         )
+    amplitude = gain_amplitude(zeta, params)
+    mean = amplitude * mean_b
+    second = amplitude**2 * second_b
     # rounding can push a near-zero variance slightly negative
-    var = np.maximum(np.diag(second_b) - mean_b**2, 0.0)
-    return GainStatistics(mean_g=mean_b, var_g=var, second_moment=second_b)
+    var = np.maximum(np.diag(second) - mean**2, 0.0)
+    return GainStatistics(mean_g=mean, var_g=var, second_moment=second)
 
 
 def _as_beta_array(beta, k: int) -> np.ndarray:

@@ -9,7 +9,7 @@ link distances are slant ranges from a stop to a ground sensor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,15 +60,6 @@ class SensorField:
     @property
     def n(self) -> int:
         return self.positions.shape[0]
-
-    def with_parameters(self, reflection=None, data_mean=None, data_var=None) -> "SensorField":
-        """Return a copy with per-sensor parameters replaced (positions kept)."""
-        return replace(
-            self,
-            reflection=self.reflection if reflection is None else reflection,
-            data_mean=self.data_mean if data_mean is None else data_mean,
-            data_var=self.data_var if data_var is None else data_var,
-        )
 
 
 @dataclass(frozen=True)
@@ -170,17 +161,6 @@ def plan_diameter_trajectory(k: int, r_cov: float, h: float) -> Trajectory:
     else:
         xs = np.linspace(-r_cov, r_cov, k)
     return Trajectory(altitude_h=h, stops=np.column_stack((xs, np.zeros(k))))
-
-
-def distance(field: SensorField, i: int, traj: Trajectory, k: int) -> float:
-    """Slant range from stop ``k`` to sensor ``i`` in meters.
-
-    Raises:
-        IndexError: if either index is out of range.
-    """
-    dx = field.positions[i, 0] - traj.stops[k, 0]
-    dy = field.positions[i, 1] - traj.stops[k, 1]
-    return math.sqrt(traj.altitude_h**2 + dx * dx + dy * dy)
 
 
 def distance_matrix(field: SensorField, traj: Trajectory) -> np.ndarray:

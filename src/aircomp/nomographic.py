@@ -61,9 +61,12 @@ def target_values(spec: TargetSpec, data) -> np.ndarray:
 
     Each round is reduced on its own, so its value does not depend on
     how many rounds share the batch (a matmul would round a batch row
-    differently from a lone row).
+    differently from a lone row).  When every exponent is 1 the readings
+    are used as they are: ``d**1`` is ``d`` bit for bit, and far slower.
     """
-    return np.einsum("...n,n->...", data**spec.exponents, spec.weights)
+    v = spec.exponents
+    powered = data if (v == 1).all() else data**v
+    return np.einsum("...n,n->...", powered, spec.weights)
 
 
 def gaussian_raw_moment(mu, var, v):

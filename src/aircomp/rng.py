@@ -24,7 +24,15 @@ def make_rng(seed) -> np.random.Generator:
 
 
 def spawn_seeds(seed, n: int) -> list[np.random.SeedSequence]:
-    """Split a seed into ``n`` independent child SeedSequences, deterministically."""
+    """Split a seed into ``n`` independent child SeedSequences, deterministically.
+
+    The children are those a fresh ``SeedSequence`` would give on its first
+    ``spawn(n)``.  A SeedSequence passed in is left as it is (``spawn`` would
+    advance its child counter), so the same object always splits the same way.
+    """
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(seed)
-    return seed.spawn(n)
+    return [
+        np.random.SeedSequence(seed.entropy, spawn_key=(*seed.spawn_key, i), pool_size=seed.pool_size)
+        for i in range(n)
+    ]

@@ -23,19 +23,11 @@ class TestChannelParams:
         assert params.g0 == 0.0275
         assert params.tx_power_w == 1.0
 
-    def test_from_carrier_868mhz(self):
-        # g0 = c / (4 pi f); at 868 MHz this is the 0.0275 reference value
-        params = ChannelParams.from_carrier(868e6)
-        assert params.g0 == pytest.approx(0.0275, rel=1e-2)
-        assert params.g0 == pytest.approx(2.99792458e8 / (4 * math.pi * 868e6), rel=1e-12)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             ChannelParams(g0=0.0)
         with pytest.raises(ValueError):
             ChannelParams(tx_power_w=-1.0)
-        with pytest.raises(ValueError):
-            ChannelParams.from_carrier(0.0)
 
 
 class TestEffectiveGainMatrix:

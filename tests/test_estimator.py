@@ -4,8 +4,8 @@ Oracle strategy, written before the assertions they feed:
 
 * Disk gain moments are checked against scipy's adaptive 2-D quadrature
   in polar coordinates (an implementation independent of the library's
-  fixed product rule), plus a logarithmic closed form for a stop at the
-  disk center.
+  angular closed form and radial rule), plus logarithmic and rational
+  closed forms for a stop at the disk center.
 * ``mse_model`` is checked against a 50-digit arbitrary-precision
   transcription of the same expression built with mpmath; the resulting
   value is frozen as a constant so later edits to either side must
@@ -40,19 +40,22 @@ from aircomp.nomographic import TargetSpec
 from aircomp.protocol import BetaVector, SumGainSamples
 
 
-def disk_gain_moment_oracle(stop_xy, altitude, r_cov, amplitude, power):
-    """Adaptive quadrature for ``E[g**power]`` over the uniform disk.
+def disk_gain_moment_oracle(stops_xy, altitude, r_cov, amplitude):
+    """Adaptive quadrature for ``E[prod_s g_s]`` over the uniform disk.
 
-    ``g = amplitude / (altitude**2 + |p - stop|**2)`` with ``p`` uniform
-    on the disk of radius ``r_cov``.  Integrates in polar coordinates
-    with scipy's adaptive rule, which shares nothing with the library's
-    fixed Gauss-Legendre/midpoint product rule.
+    ``g_s = amplitude / (altitude**2 + |p - s|**2)`` for each stop ``s``
+    in ``stops_xy`` (repeat a stop for a power), with ``p`` uniform on
+    the disk of radius ``r_cov``.  Integrates in polar coordinates with
+    scipy's adaptive rule, which shares nothing with the library's
+    angular closed form or its Gauss-Legendre radial rule.
     """
-    sx, sy = stop_xy
 
     def integrand(r, theta):
-        d2 = altitude**2 + (r * math.cos(theta) - sx) ** 2 + (r * math.sin(theta) - sy) ** 2
-        return (amplitude / d2) ** power * r / (math.pi * r_cov**2)
+        px, py = r * math.cos(theta), r * math.sin(theta)
+        value = r / (math.pi * r_cov**2)
+        for sx, sy in stops_xy:
+            value *= amplitude / (altitude**2 + (px - sx) ** 2 + (py - sy) ** 2)
+        return value
 
     value, _ = integrate.dblquad(
         integrand, 0.0, 2.0 * math.pi, 0.0, r_cov, epsabs=1e-30, epsrel=1e-12
@@ -143,7 +146,7 @@ def small_config():
 
 
 class TestGainStatistics:
-    """Deterministic disk-quadrature gain moments."""
+    """Gain moments exact in angle, with a Gauss-Legendre rule in radius."""
 
     def test_center_stop_matches_log_closed_form(self):
         # For a stop above the disk center the mean gain integrates in
@@ -163,10 +166,41 @@ class TestGainStatistics:
         traj = Trajectory(altitude_h=h, stops=np.array([[5.0, 3.0]]))
         stats = gain_statistics(traj, r_cov, params, zeta)
         amplitude = math.sqrt(zeta) * params.g0**2
-        mean_oracle = disk_gain_moment_oracle((5.0, 3.0), h, r_cov, amplitude, 1)
-        second_oracle = disk_gain_moment_oracle((5.0, 3.0), h, r_cov, amplitude, 2)
+        mean_oracle = disk_gain_moment_oracle([(5.0, 3.0)], h, r_cov, amplitude)
+        second_oracle = disk_gain_moment_oracle([(5.0, 3.0)] * 2, h, r_cov, amplitude)
         assert stats.mean_g[0] == pytest.approx(mean_oracle, rel=1e-10)
         assert stats.second_moment[0, 0] == pytest.approx(second_oracle, rel=1e-10)
+
+    @pytest.mark.parametrize("h", [50.0, 5.0])
+    def test_cross_moment_of_stops_off_one_line_matches_adaptive_quadrature(self, h):
+        # two stops 75 degrees apart as seen from the centre, neither on
+        # the other's line through it
+        params = ChannelParams()
+        r_cov, zeta = 10.0, 0.99
+        stops = [(5.0, 3.0), (-2.0, 7.0)]
+        stats = gain_statistics(Trajectory(altitude_h=h, stops=np.array(stops)), r_cov, params, zeta)
+        amplitude = math.sqrt(zeta) * params.g0**2
+        cross_oracle = disk_gain_moment_oracle(stops, h, r_cov, amplitude)
+        assert stats.second_moment[0, 1] == pytest.approx(cross_oracle, rel=1e-10)
+        assert stats.second_moment[1, 0] == pytest.approx(cross_oracle, rel=1e-10)
+        for j, stop in enumerate(stops):
+            mean_oracle = disk_gain_moment_oracle([stop], h, r_cov, amplitude)
+            assert stats.mean_g[j] == pytest.approx(mean_oracle, rel=1e-10)
+
+    def test_low_altitude_diameter_plan_center_stop_matches_closed_forms(self):
+        # At altitude 0.5 the gain under each stop is a spike 0.5 m wide.
+        # The centre stop's moments integrate in closed form:
+        # E[g] = A log(1 + R**2 / H**2) / R**2 and E[g**2] = A**2 / (H**2 (H**2 + R**2)).
+        params = ChannelParams()
+        h, r_cov, zeta = 0.5, 10.0, 0.99
+        stats = gain_statistics(plan_diameter_trajectory(5, r_cov, h), r_cov, params, zeta)
+        amplitude = math.sqrt(zeta) * params.g0**2
+        assert stats.mean_g[2] == pytest.approx(
+            amplitude * math.log(1.0 + r_cov**2 / h**2) / r_cov**2, rel=1e-12
+        )
+        assert stats.second_moment[2, 2] == pytest.approx(
+            amplitude**2 / (h**2 * (h**2 + r_cov**2)), rel=1e-12
+        )
 
     def test_variance_consistent_with_moments(self):
         params = ChannelParams()
@@ -212,14 +246,29 @@ class TestGainStatistics:
         assert_allclose(g.mean(axis=0), stats.mean_g, rtol=2e-3)
         assert_allclose((g.T @ g) / samples, stats.second_moment, rtol=5e-3)
 
-    def test_low_altitude_peak_fails_refinement(self):
-        # At altitude 2 the gain is a sharp spike under the stop; 16
-        # nodes per direction cannot resolve it and refinement moves the
-        # answer, which must be reported rather than returned.
+    def test_pair_moments_do_not_depend_on_the_other_stops(self):
+        # E[g_j g_k] involves stops j and k only, so in a plan of 14 stops
+        # (105 pairs) scattered off any line, every entry must equal the
+        # two-stop plan's, which the adaptive-quadrature test above checks.
         params = ChannelParams()
-        traj = Trajectory(altitude_h=2.0, stops=np.array([[8.0, 0.0]]))
+        h, r_cov, zeta = 2.0, 10.0, 0.99
+        stops = np.random.default_rng(3).uniform(-12.0, 12.0, size=(14, 2))
+        stats = gain_statistics(Trajectory(altitude_h=h, stops=stops), r_cov, params, zeta)
+        for j in range(len(stops)):
+            for k in range(j + 1, len(stops)):
+                pair = gain_statistics(Trajectory(altitude_h=h, stops=stops[[j, k]]), r_cov, params, zeta)
+                assert stats.second_moment[j, k] == pytest.approx(pair.second_moment[0, 1], rel=1e-11)
+                assert stats.second_moment[k, j] == stats.second_moment[j, k]
+                assert stats.mean_g[[j, k]] == pytest.approx(pair.mean_g, rel=1e-11)
+
+    def test_low_altitude_peak_fails_refinement(self):
+        # At altitude 0.5 the gain is a sharp spike under the stop; 16
+        # radial nodes per segment cannot resolve it and refinement moves
+        # the answer, which must be reported rather than returned.
+        params = ChannelParams()
+        traj = Trajectory(altitude_h=0.5, stops=np.array([[8.0, 0.0]]))
         with pytest.raises(QuadratureConvergenceError):
-            gain_statistics(traj, 10.0, params, 0.99, radial_nodes=16, angular_nodes=16)
+            gain_statistics(traj, 10.0, params, 0.99, radial_nodes=16)
 
     def test_parameter_validation(self):
         params = ChannelParams()
@@ -232,8 +281,6 @@ class TestGainStatistics:
             gain_statistics(traj, 10.0, params, 1.5)
         with pytest.raises(ValueError):
             gain_statistics(traj, 10.0, params, 0.99, radial_nodes=8)
-        with pytest.raises(ValueError):
-            gain_statistics(traj, 10.0, params, 0.99, angular_nodes=8)
 
     def test_statistics_shape_and_sign_validation(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,6 @@ from aircomp import (
     SensorField,
     Trajectory,
     deploy_sensors,
-    distance,
     distance_matrix,
     max_distance_bound,
     plan_diameter_trajectory,
@@ -94,13 +93,6 @@ class TestSensorField:
         assert_allclose(field.data_mean, [1.0, 1.0])
         assert_allclose(field.data_var, [2.0, 2.0])
 
-    def test_with_parameters(self):
-        field = deploy_sensors(4, 10.0, seed=1)
-        other = field.with_parameters(data_mean=1.0)
-        assert_allclose(other.positions, field.positions)
-        assert_allclose(other.data_mean, np.ones(4))
-        assert_allclose(field.data_mean, np.zeros(4))
-
 
 class TestTrajectory:
     def test_single_stop_at_center(self):
@@ -132,7 +124,7 @@ class TestDistances:
         field = SensorField(np.array([[3.0, 4.0]]), 1.0, 0.0, 1.0)
         traj = Trajectory(12.0, np.array([[0.0, 0.0]]))
         # 3-4-5 triangle in the plane, altitude 12: sqrt(25 + 144) = 13
-        assert distance(field, 0, traj, 0) == pytest.approx(13.0, rel=1e-12)
+        assert distance_matrix(field, traj)[0, 0] == pytest.approx(13.0, rel=1e-12)
 
     def test_matrix_matches_elementwise(self):
         field = deploy_sensors(6, 10.0, seed=2)
@@ -141,7 +133,9 @@ class TestDistances:
         assert mat.shape == (6, 4)
         for i in range(6):
             for k in range(4):
-                assert mat[i, k] == pytest.approx(distance(field, i, traj, k), rel=1e-12)
+                dx, dy = field.positions[i] - traj.stops[k]
+                expected = math.sqrt(50.0**2 + dx * dx + dy * dy)
+                assert mat[i, k] == pytest.approx(expected, rel=1e-12)
 
     def test_bound_formula(self):
         assert max_distance_bound(10.0, 50.0) == pytest.approx(
