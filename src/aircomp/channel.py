@@ -41,38 +41,34 @@ class GainMatrix:
     """Per-link gains for one deployment and flight plan.
 
     Attributes:
-        h: ``(n, k)`` round-trip channel power gains ``g0**2 / d**2``.
-        g: ``(n, k)`` effective amplitudes ``sqrt(zeta_i * p) * h[i, k]``.
+        g: ``(n, k)`` effective amplitudes ``sqrt(zeta_i * p) * g0**2 / d[i, k]**2``,
+            read-only.
     """
 
-    h: np.ndarray
     g: np.ndarray
 
     def __post_init__(self):
-        h = np.asarray(self.h, dtype=np.float64)
-        g = np.asarray(self.g, dtype=np.float64)
-        if h.shape != g.shape or h.ndim != 2:
-            raise ValueError(f"h and g must share a 2-d shape, got {h.shape} and {g.shape}")
-        if np.any(h <= 0.0) or np.any(g <= 0.0):
+        g = np.array(self.g, dtype=np.float64)
+        if g.ndim != 2:
+            raise ValueError(f"g must be 2-d, got shape {g.shape}")
+        if np.any(g <= 0.0):
             raise ValueError("gains must be positive")
-        for name, arr in (("h", h), ("g", g)):
-            arr = arr.copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        g.setflags(write=False)
+        object.__setattr__(self, "g", g)
 
     @property
     def n(self) -> int:
-        return self.h.shape[0]
+        return self.g.shape[0]
 
     @property
     def k(self) -> int:
-        return self.h.shape[1]
+        return self.g.shape[1]
 
 
 def effective_gain_matrix(field: SensorField, traj: Trajectory, params: ChannelParams) -> GainMatrix:
-    """Per-link gains for every sensor/stop pair of a deployment."""
+    """Effective gains for every sensor/stop pair of a deployment."""
     d2 = squared_ranges(field.positions[:, 0], field.positions[:, 1], traj)
-    return GainMatrix(h=params.g0**2 / d2, g=gain_amplitude(field.reflection, params)[:, None] / d2)
+    return GainMatrix(g=gain_amplitude(field.reflection, params)[:, None] / d2)
 
 
 def gain_amplitude(zeta, params: ChannelParams):

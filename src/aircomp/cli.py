@@ -13,10 +13,14 @@ parameter as ``key = value`` lines and is itself a valid ``--config``
 file, so any run can be reproduced exactly from its manifest.
 
 Every run parameter is declared once, in ``_PARAMS``: its config key,
-text parser, flag and help.  Configuration precedence: command-line
-flags override config-file entries, which override built-in defaults.
-Config files are flat ``key = value`` text; ``#`` starts a comment and
-blank lines are ignored.
+text parser, flag, help and the commands that have the flag.  The grid
+keys ``resolution`` and ``span`` set the ``grid-oracle`` search in every
+command, though only ``oracle`` has their flags; ``oracle`` searches the
+one cell of ``target``, so ``--targets`` and ``--policies`` exist on
+``sweep`` and ``single`` only.  Configuration precedence:
+command-line flags override config-file entries, which override built-in
+defaults.  Config files are flat ``key = value`` text; ``#`` starts a
+comment and blank lines are ignored.
 
 Exit codes: 0 success, 2 configuration error, 3 runtime failure
 (including a sweep in which no row succeeded).
@@ -43,6 +47,7 @@ from .evaluation import (
     TARGET_NAMES,
     ExperimentConfig,
     ExperimentResult,
+    axis_values,
     build_target,
     estimate_mse,
     grid_oracle,
@@ -70,8 +75,6 @@ class RunManifest:
     out: str | None = None  # required; a run without it is a configuration error
     axis: str = "k"
     values: tuple[int, ...] = ()
-    resolution: int = 64
-    span: float = 100.0
 
 
 # ---------------------------------------------------------------- config file
@@ -137,9 +140,11 @@ def _name_list(allowed, text):
         raise ValueError("is empty")
     if allowed is TARGET_NAMES and names == ("all",):
         return TARGET_NAMES
-    for name in names:
+    for i, name in enumerate(names):
         if name not in allowed:
             raise ValueError(f"entry {name!r} not in {allowed}")
+        if name in names[:i]:
+            raise ValueError(f"entry {name!r} is repeated")
     return names
 
 
@@ -150,13 +155,13 @@ def _axis(text):
 
 
 class _Param(NamedTuple):
-    """One run parameter: its config and manifest key, text parser, flag and help."""
+    """One run parameter: its config and manifest key, text parser, flag, help and commands."""
 
     key: str
     parse: Callable[[str], object]  # text -> value, or raises ValueError
     flag: str
     help: str
-    command: str | None = None  # the one run command with this flag; None: all of them
+    commands: tuple[str, ...] | None = None  # the run commands with this flag; None: all of them
 
 
 # Every run parameter, in manifest order.  Config files and flags are both
@@ -175,16 +180,18 @@ _PARAMS = {
         _Param("data_mean", float, "--data-mean", "sensor reading mean"),
         _Param("data_var", float, "--data-var", "sensor reading variance"),
         _Param("target", str, "--target", f"target function: {', '.join(TARGET_NAMES)}"),
-        _Param("targets", partial(_name_list, TARGET_NAMES), "--targets", "comma list of targets, or 'all'"),
+        _Param("targets", partial(_name_list, TARGET_NAMES), "--targets", "comma list of targets, or 'all'",
+               ("sweep", "single")),
         _Param("policies", partial(_name_list, POLICY_NAMES), "--policies",
-               f"comma list from {', '.join(POLICY_NAMES)}"),
+               f"comma list from {', '.join(POLICY_NAMES)}", ("sweep", "single")),
         _Param("trials", int, "--trials", "Monte Carlo trials per cell"),
         _Param("seed", int, "--seed", "root seed"),
         _Param("redeploy_per_trial", _bool, "--redeploy", "redeploy sensors every trial (true/false)"),
-        _Param("axis", _axis, "--axis", "swept parameter: k or n", "sweep"),
-        _Param("values", parse_values_spec, "--values", "axis values: start:end[:step] or comma list", "sweep"),
-        _Param("resolution", int, "--resolution", "grid points (>= 16)", "oracle"),
-        _Param("span", float, "--span", "multiplicative half-width (> 1)", "oracle"),
+        _Param("axis", _axis, "--axis", "swept parameter: k or n", ("sweep",)),
+        _Param("values", parse_values_spec, "--values", "axis values: start:end[:step] or comma list",
+               ("sweep",)),
+        _Param("resolution", int, "--resolution", "grid points (>= 16)", ("oracle",)),
+        _Param("span", float, "--span", "multiplicative half-width (> 1)", ("oracle",)),
         _Param("out", str, "--out", "output directory for results.csv, manifest.txt, summary.txt"),
     )
 }
@@ -262,26 +269,21 @@ def _build_manifest(args: argparse.Namespace) -> RunManifest:
             flags[key] = repr(_parse(flag, _dbm_to_watts, dbm))
     merged = {**_coerce(entries), **_coerce(flags)}
 
+    extras = {key: value for key, value in merged.items() if key not in _CONFIG_KEYS}
+    if args.command == "sweep" and "values" not in extras:
+        raise ConfigError("sweep needs axis values (--values or config 'values')")
     try:
         config = ExperimentConfig(**{k: v for k, v in merged.items() if k in _CONFIG_KEYS})
+        if args.command == "sweep":
+            axis_values(extras["values"])
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from None
 
-    extras = {key: value for key, value in merged.items() if key not in _CONFIG_KEYS}
-    extras.setdefault("targets", (config.target,))
     if args.command != "sweep":
         extras.update(axis="k", values=(config.k,))
+    if args.command == "oracle" or "targets" not in extras:  # the oracle runs config.target only
+        extras["targets"] = (config.target,)
     manifest = RunManifest(args.command, config, **extras)
-    values = manifest.values  # (k,) for single and oracle, so only a sweep can fail these
-    if not values:
-        raise ConfigError("sweep needs axis values (--values or config 'values')")
-    if any(v < 1 for v in values) or any(b <= a for a, b in zip(values, values[1:])):
-        raise ConfigError("axis values must be strictly ascending positive integers")
-    if args.command == "oracle":
-        if manifest.resolution < 16:
-            raise ConfigError(f"resolution must be >= 16, got {manifest.resolution}")
-        if not manifest.span > 1.0:
-            raise ConfigError(f"span must be > 1, got {manifest.span}")
     if manifest.out is None:
         raise ConfigError("an output directory is required (--out)")
     return manifest
@@ -354,6 +356,7 @@ def _oracle_summary_text(manifest: RunManifest, result) -> str:
     return "\n".join(
         [
             "oracle summary",
+            f"target = {cfg.target}",
             f"grid points = {result.grid.size}; trials = {cfg.trials}; seed = {cfg.seed}",
             f"closed-form center beta = {result.center!r}",
             f"best beta = {result.beta!r}",
@@ -376,7 +379,7 @@ def _run(manifest: RunManifest) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     code = 0
     if manifest.command == "oracle":
-        result = grid_oracle(manifest.config, manifest.resolution, manifest.span)
+        result = grid_oracle(manifest.config)
         (out_dir / "results.csv").write_text(_oracle_csv_text(result), newline="\n")
         (out_dir / "summary.txt").write_text(_oracle_summary_text(manifest, result), newline="\n")
     else:
@@ -472,7 +475,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="flat key = value config file")
         for param in _PARAMS.values():
-            if param.command in (None, command):
+            if param.commands is None or command in param.commands:
                 p.add_argument(param.flag, dest=param.key, help=param.help)
             if param.key in _DBM_FLAGS:
                 flag, dbm_help = _DBM_FLAGS[param.key]

@@ -78,9 +78,12 @@ class ExperimentConfig:
     5-stop diameter flight at 50 m altitude, 1 W illumination (30 dBm),
     receiver noise variance 1e-10 (-70 dBm), reflection 0.99, and
     ``g0 = 0.0275`` (868 MHz).  ``data_mean``/``data_var`` describe the
-    Gaussian sensor readings.  With ``redeploy_per_trial`` set, every
-    trial scatters a fresh layout; otherwise one seeded layout is reused
-    and the Monte Carlo MSE is conditional on it.
+    Gaussian sensor readings.  ``resolution`` and ``span`` are the
+    ``grid-oracle`` policy's search grid: that many log-spaced points
+    covering ``[center / span, center * span]`` around the closed-form
+    coefficient.  With ``redeploy_per_trial`` set, every trial scatters
+    a fresh layout; otherwise one seeded layout is reused and the Monte
+    Carlo MSE is conditional on it.
     """
 
     n: int = 20
@@ -95,14 +98,19 @@ class ExperimentConfig:
     data_var: float = 1.0
     target: str | TargetSpec = "config-1"
     policies: tuple[str, ...] = ("heuristic", "heuristic-equal", "benchmark")
+    resolution: int = 64
+    span: float = 100.0
     trials: int = 10000
     seed: int = 1
     redeploy_per_trial: bool = True
 
     def __post_init__(self):
+        for name in ("n", "k", "trials", "resolution", "seed"):
+            if not _is_integer(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.n < 1 or self.k < 1:
             raise ValueError(f"n and k must be >= 1, got n={self.n}, k={self.k}")
-        for name in ("r_cov", "h", "p_watts", "noise_var", "zeta", "g0", "data_mean", "data_var"):
+        for name in ("r_cov", "h", "p_watts", "noise_var", "zeta", "g0", "data_mean", "data_var", "span"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         for name in ("r_cov", "h", "p_watts", "zeta", "g0"):
@@ -114,14 +122,35 @@ class ExperimentConfig:
             raise ValueError("noise_var and data_var must be non-negative")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+        if self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
+        if self.resolution < 16:
+            raise ValueError(f"resolution must be >= 16, got {self.resolution}")
+        if not self.span > 1.0:
+            raise ValueError(f"span must be > 1, got {self.span}")
         if isinstance(self.target, str) and self.target not in TARGET_NAMES:
             raise ValueError(f"unknown target {self.target!r}; choose from {TARGET_NAMES}")
         object.__setattr__(self, "policies", tuple(self.policies))
-        for p in self.policies:
-            if isinstance(p, str) and p not in POLICY_NAMES:
+        names = [p for p in self.policies if isinstance(p, str)]
+        for i, p in enumerate(names):
+            if p not in POLICY_NAMES:
                 raise ValueError(f"unknown policy {p!r}; choose from {POLICY_NAMES}")
+            if p in names[:i]:
+                raise ValueError(f"policy {p!r} is given twice")
+
+
+def _is_integer(value) -> bool:
+    """A Python or numpy integer; ``bool`` does not count."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def axis_values(values) -> tuple[int, ...]:
+    """Sweep axis values, checked to be strictly ascending positive integers."""
+    vals = tuple(values)
+    positive = bool(vals) and all(_is_integer(v) and v >= 1 for v in vals)
+    if not positive or any(b <= a for a, b in zip(vals, vals[1:])):
+        raise ValueError("axis values must be strictly ascending positive integers")
+    return tuple(int(v) for v in vals)
 
 
 @dataclass(frozen=True)
@@ -392,14 +421,13 @@ def _grid_search(agg_sum, agg_target, center: float, resolution: int, span: floa
     return result, sqerr(beta)
 
 
-def _evaluate_cell(config: ExperimentConfig, tspec: TargetSpec, policies, grid=(64, 100.0)):
+def _evaluate_cell(config: ExperimentConfig, tspec: TargetSpec, policies):
     """Simulate one cell and score every policy on the same trials.
 
     Returns squared errors and acceptance flags, one row per policy, the
     grid search if a policy is ``grid-oracle`` (else ``None``), and per
     policy the exception that stopped its rule (else ``None``); a failed
     policy's rows are meaningless and the others are unaffected.
-    ``grid`` is the search's ``(resolution, span)``.
     """
     cell = _Cell(config, tspec)
     rules = [_resolve(p, cell) for p in policies]
@@ -441,7 +469,9 @@ def _evaluate_cell(config: ExperimentConfig, tspec: TargetSpec, policies, grid=(
     oracle = None
     if oracle_rows:
         try:
-            oracle, sqerr[oracle_rows] = _grid_search(agg_sum, agg_target, cell.equal_optimal, *grid)
+            oracle, sqerr[oracle_rows] = _grid_search(
+                agg_sum, agg_target, cell.equal_optimal, config.resolution, config.span
+            )
         except _FAILURES as exc:
             for i in oracle_rows:
                 errors[i] = exc
@@ -564,9 +594,7 @@ def sweep(config: ExperimentConfig, axis: str, values, targets=None) -> Experime
     axis = axis.lower()
     if axis not in ("k", "n"):
         raise ValueError(f"axis must be 'k' or 'n', got {axis!r}")
-    vals = [int(v) for v in values]
-    if not vals or any(v < 1 for v in vals) or any(b <= a for a, b in zip(vals, vals[1:])):
-        raise ValueError("axis values must be strictly ascending positive integers")
+    vals = axis_values(values)
     if targets is None:
         targets = [config.target]
 
@@ -598,15 +626,23 @@ def sweep(config: ExperimentConfig, axis: str, values, targets=None) -> Experime
     return ExperimentResult(axis=axis, rows=tuple(rows))
 
 
-def grid_oracle(config: ExperimentConfig, resolution: int = 64, span: float = 100.0) -> GridOracleResult:
+def grid_oracle(
+    config: ExperimentConfig, *, resolution: int | None = None, span: float | None = None
+) -> GridOracleResult:
     """Equal-coefficient grid search on one simulated cell.
 
-    The grid is centered on the closed-form coefficient and every grid
-    point is scored on the same batch of trials, so the minimizer is
-    directly comparable with the closed-form policies.
+    The grid is the config's (``resolution`` points spanning a factor
+    ``span`` either side), centered on the closed-form coefficient, and
+    every grid point is scored on the same batch of trials, so the
+    minimizer is directly comparable with the closed-form policies.
+    ``resolution`` and ``span``, if given, replace the config's:
+    ``grid_oracle(config, span=10.0)`` is
+    ``grid_oracle(replace(config, span=10.0))``.
     """
+    grid = {"resolution": resolution, "span": span}
+    config = replace(config, **{key: value for key, value in grid.items() if value is not None})
     tspec = build_target(config.target, config.n)
-    _, _, result, errors = _evaluate_cell(config, tspec, ["grid-oracle"], grid=(resolution, span))
+    _, _, result, errors = _evaluate_cell(config, tspec, ["grid-oracle"])
     if errors[0] is not None:
         raise errors[0]
     return result

@@ -233,7 +233,7 @@ class TestAcceptance:
             details.append(f"{target} z {z:+.2f}")
 
         cfg1 = ExperimentConfig(noise_var=1e-12, trials=20_000, seed=606)
-        oracle = grid_oracle(cfg1, resolution=64, span=100.0)
+        oracle = grid_oracle(cfg1)  # the default grid: 64 points spanning a factor 100
         tspec = build_target("config-1", cfg1.n)
         params = ChannelParams(g0=cfg1.g0, tx_power_w=cfg1.p_watts)
         traj = plan_diameter_trajectory(cfg1.k, cfg1.r_cov, cfg1.h)

@@ -32,13 +32,12 @@ class TestChannelParams:
 
 class TestEffectiveGainMatrix:
     def test_effective_gain_scaling(self):
-        # g = sqrt(zeta P) h entrywise
+        # g = sqrt(zeta P) times the power gain g0**2 / d**2, entrywise
         field = SensorField(np.array([[0.0, 0.0]]), 0.99, 0.0, 1.0)
         traj = Trajectory(50.0, np.array([[0.0, 0.0]]))
         gains = effective_gain_matrix(field, traj, ChannelParams())
-        h = 0.0275**2 / 2500.0
-        assert gains.h[0, 0] == pytest.approx(h, rel=1e-12)
-        assert gains.g[0, 0] == pytest.approx(math.sqrt(0.99) * h, rel=1e-12)
+        power_gain = 0.0275**2 / 2500.0
+        assert gains.g[0, 0] == pytest.approx(math.sqrt(0.99) * power_gain, rel=1e-12)
         assert gains.g[0, 0] == pytest.approx(3.00984e-7, rel=1e-4)
 
     def test_shape_and_positivity(self):
@@ -46,9 +45,7 @@ class TestEffectiveGainMatrix:
         traj = plan_diameter_trajectory(5, 10.0, 50.0)
         gains = effective_gain_matrix(field, traj, ChannelParams())
         assert gains.g.shape == (20, 5)
-        assert gains.h.shape == (20, 5)
         assert np.all(gains.g > 0)
-        assert np.all(gains.h > 0)
         assert gains.n == 20 and gains.k == 5
 
     def test_column_sums_bounded_by_geometry(self):

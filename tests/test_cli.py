@@ -22,7 +22,7 @@ from aircomp.cli import (
     parse_values_spec,
     render_manifest,
 )
-from aircomp.evaluation import ExperimentConfig, ExperimentResult
+from aircomp.evaluation import ExperimentConfig, ExperimentResult, estimate_mse
 
 
 def run_single(tmp_path, name, extra=()):
@@ -186,14 +186,13 @@ class TestParameterTable:
             config=ExperimentConfig(
                 n=7, k=3, r_cov=12.5, h=40.0, p_watts=0.5, noise_var=1e-12, zeta=0.8,
                 g0=0.03, data_mean=0.25, data_var=2.0, target="config-3",
-                policies=("zero", "grid-oracle"), trials=40, seed=9, redeploy_per_trial=False,
+                policies=("zero", "grid-oracle"), resolution=32, span=7.5, trials=40, seed=9,
+                redeploy_per_trial=False,
             ),
             targets=("config-2", "config-3"),
             out=str(tmp_path / "elsewhere"),
             axis="n",
             values=(3, 5),
-            resolution=32,
-            span=7.5,
         )
         text = render_manifest(manifest)
         default = parse_config_text(render_manifest(self.build(tmp_path, "sweep", "values = 1\nout = x\n")))
@@ -372,6 +371,30 @@ class TestOracleCommand:
         )
         assert code == 2
 
+    def test_non_finite_span_is_config_error(self, tmp_path, capsys):
+        assert main(["oracle", "--span", "inf", "--out", str(tmp_path / "x")]) == 2
+        assert "span must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("flag, value", [("--targets", "config-3"), ("--policies", "zero")])
+    def test_sweep_only_flags_are_usage_errors(self, tmp_path, flag, value):
+        assert main(["oracle", flag, value, "--trials", "50", "--out", str(tmp_path / "x")]) == 2
+        assert not (tmp_path / "x").exists()
+
+    def test_manifest_targets_is_the_searched_target(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("target = config-3\ntargets = config-1,config-2\n")
+        out = tmp_path / "run"
+        code = main(
+            [
+                "oracle", "--config", str(cfg), "--trials", "200", "--noise-var", "1e-12",
+                "--resolution", "16", "--span", "10", "--out", str(out),
+            ]
+        )
+        assert code == 0
+        assert parse_config_text((out / "manifest.txt").read_text())["targets"] == "config-3"
+        assert "target = config-3" in (out / "summary.txt").read_text()
+
     def test_degenerate_data_is_runtime_error(self, tmp_path):
         # Zero-variance zero-mean data gives no usable search center;
         # the failure surfaces as a runtime error, not a crash.
@@ -431,6 +454,47 @@ class TestExitCodes:
 
     def test_version_flag_exits_cleanly(self):
         assert main(["--version"]) == 0
+
+    @pytest.mark.parametrize(
+        "flags", [["--targets", "config-1,config-1"], ["--policies", "benchmark,zero,benchmark"]]
+    )
+    def test_repeated_name_is_config_error(self, tmp_path, capsys, flags):
+        assert main(["sweep", "--values", "2", *flags, "--out", str(tmp_path / "x")]) == 2
+        assert "is repeated" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+
+class TestGridFromConfig:
+    """A config file's grid reaches the grid-oracle rows of every run command."""
+
+    GRID = "resolution = 16\nspan = 1.001\ntarget = config-3\npolicies = optimal-equal,grid-oracle\n"
+
+    def run(self, tmp_path, name, argv, grid=GRID):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(grid + "trials = 2000\nnoise_var = 1e-10\n")
+        out = tmp_path / name
+        assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 0
+        return out
+
+    @staticmethod
+    def grid_oracle_mse(out, k):
+        rows = [line.split(",") for line in (out / "results.csv").read_text().splitlines()[1:]]
+        return {int(row[0]): float(row[3]) for row in rows if row[2] == "grid-oracle"}[k]
+
+    @pytest.mark.parametrize("argv", [["sweep", "--values", "2:4"], ["single", "--k", "3"]])
+    def test_grid_oracle_rows_use_the_config_grid(self, tmp_path, argv):
+        out = self.run(tmp_path, "run", argv)
+        cfg = ExperimentConfig(
+            k=3, target="config-3", resolution=16, span=1.001, trials=2000, noise_var=1e-10
+        )
+        assert self.grid_oracle_mse(out, 3) == estimate_mse(cfg, "grid-oracle").mse
+        default = self.run(tmp_path, "default", argv, grid="target = config-3\npolicies = grid-oracle\n")
+        assert self.grid_oracle_mse(default, 3) != self.grid_oracle_mse(out, 3)
+
+        rerun = tmp_path / "rerun"
+        assert main([argv[0], "--config", str(out / "manifest.txt"), "--out", str(rerun)]) == 0
+        for name in ("results.csv", "summary.txt"):
+            assert (rerun / name).read_bytes() == (out / name).read_bytes()
 
 
 class TestValidateCommand:

@@ -544,7 +544,7 @@ class TestExactMse:
         # the mean square is (beta g - 1)**2 (mu**2 + var) + beta**2 nv.
         spec = TargetSpec(weights=np.array([1.0]), exponents=np.array([1]))
         g = 3e-7
-        gains = GainMatrix(h=np.array([[g]]) / math.sqrt(0.99), g=np.array([[g]]))
+        gains = GainMatrix(g=np.array([[g]]))
         cases = [
             (1e6, 0.7, 1.3, 1e-10),
             (2e6, -0.5, 2.0, 3e-9),
@@ -558,7 +558,7 @@ class TestExactMse:
     def test_perfect_inversion_is_exact(self):
         spec = TargetSpec(weights=np.array([1.0]), exponents=np.array([1]))
         g = 3e-7
-        gains = GainMatrix(h=np.array([[g]]) / math.sqrt(0.99), g=np.array([[g]]))
+        gains = GainMatrix(g=np.array([[g]]))
         for mu in (0.0, 0.7, -2.0):
             got = mse_exact_conditional(spec, gains, mu, 1.3, 0.0, np.array([1.0 / g]))
             assert got == pytest.approx(0.0, abs=1e-18)
@@ -574,9 +574,7 @@ class TestExactMse:
         stats = GainStatistics(
             mean_g=mean_g, var_g=np.zeros(k), second_moment=np.outer(mean_g, mean_g)
         )
-        gains = GainMatrix(
-            h=np.tile(mean_g, (n, 1)) / math.sqrt(0.99), g=np.tile(mean_g, (n, 1))
-        )
+        gains = GainMatrix(g=np.tile(mean_g, (n, 1)))
         beta = np.array([1e6, 2e6, 1.5e6])
         marginal = mse_exact_marginal(spec, stats, 0.3, 1.1, 1e-13, beta)
         conditional = mse_exact_conditional(spec, gains, 0.3, 1.1, 1e-13, beta)
@@ -610,7 +608,7 @@ class TestExactMse:
 
     def test_sensor_count_mismatch_raises(self):
         spec = TargetSpec(weights=np.ones(2), exponents=np.ones(2, dtype=int))
-        gains = GainMatrix(h=np.full((3, 1), 1e-7), g=np.full((3, 1), 1e-7))
+        gains = GainMatrix(g=np.full((3, 1), 1e-7))
         with pytest.raises(ValueError):
             mse_exact_conditional(spec, gains, 0.0, 1.0, 0.0, np.array([1.0]))
 

@@ -12,6 +12,7 @@ The engine's contract has three load-bearing parts exercised here:
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -59,6 +60,8 @@ class TestExperimentConfig:
         assert cfg.data_mean == 0.0
         assert cfg.data_var == 1.0
         assert cfg.target == "config-1"
+        assert cfg.resolution == 64
+        assert cfg.span == 100.0
         assert cfg.redeploy_per_trial is True
 
     def test_policy_list_normalized_to_tuple(self):
@@ -92,14 +95,32 @@ class TestExperimentConfig:
             ExperimentConfig(target="config-9")
         with pytest.raises(ValueError):
             ExperimentConfig(policies=("benchmark", "nonsense"))
+        with pytest.raises(ValueError, match="resolution"):
+            ExperimentConfig(resolution=15)
+        with pytest.raises(ValueError, match="span"):
+            ExperimentConfig(span=1.0)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize(
-        "name", ["r_cov", "h", "p_watts", "noise_var", "zeta", "g0", "data_mean", "data_var"]
+        "name", ["r_cov", "h", "p_watts", "noise_var", "zeta", "g0", "data_mean", "data_var", "span"]
     )
     def test_non_finite_values_rejected(self, name, value):
         with pytest.raises(ValueError, match=name):
             ExperimentConfig(**{name: value})
+
+    @pytest.mark.parametrize("value", [2.5, 100.5, 20.0, True, "20"])
+    @pytest.mark.parametrize("name", ["n", "k", "trials", "resolution"])
+    def test_non_integer_counts_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            ExperimentConfig(**{name: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = ExperimentConfig(n=np.int64(7), k=np.int32(3), trials=np.int64(10), resolution=np.int16(16))
+        assert (cfg.n, cfg.k, cfg.trials, cfg.resolution) == (7, 3, 10, 16)
+
+    def test_policy_given_twice_rejected(self):
+        with pytest.raises(ValueError, match="'benchmark' is given twice"):
+            ExperimentConfig(policies=("benchmark", "zero", "benchmark"))
 
 
 class TestTargets:
@@ -439,6 +460,8 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(cfg, "k", [3, 2])
         with pytest.raises(ValueError):
+            sweep(cfg, "k", [2.5])
+        with pytest.raises(ValueError):
             sweep(cfg, "k", [0, 1])
 
     def test_failing_cell_becomes_nan_rows(self):
@@ -534,8 +557,8 @@ class TestGridOracleBatch:
     """Batched grid search over the shared trial set."""
 
     def test_result_structure(self):
-        cfg = ExperimentConfig(trials=2000, noise_var=1e-12, seed=3)
-        out = grid_oracle(cfg, resolution=32, span=10.0)
+        cfg = ExperimentConfig(trials=2000, noise_var=1e-12, seed=3, resolution=32, span=10.0)
+        out = grid_oracle(cfg)
         assert isinstance(out, GridOracleResult)
         assert out.beta > 0.0
         assert out.center > 0.0
@@ -544,17 +567,42 @@ class TestGridOracleBatch:
         assert out.mse == pytest.approx(float(np.min(out.values)), rel=1e-12)
 
     def test_never_worse_than_closed_form_center(self):
-        cfg = ExperimentConfig(trials=2000, noise_var=1e-12, seed=3)
-        out = grid_oracle(cfg, resolution=32, span=10.0)
+        cfg = ExperimentConfig(trials=2000, noise_var=1e-12, seed=3, resolution=32, span=10.0)
+        out = grid_oracle(cfg)
         center_idx = int(np.argmin(np.abs(out.grid - out.center)))
         assert out.mse <= out.values[center_idx] * (1.0 + 1e-12)
 
     def test_deterministic(self):
-        cfg = ExperimentConfig(trials=1000, noise_var=1e-12, seed=3)
-        a = grid_oracle(cfg, resolution=24, span=10.0)
-        b = grid_oracle(cfg, resolution=24, span=10.0)
+        cfg = ExperimentConfig(trials=1000, noise_var=1e-12, seed=3, resolution=24, span=10.0)
+        a = grid_oracle(cfg)
+        b = grid_oracle(cfg)
         assert a.beta == b.beta
         assert a.mse == b.mse
+
+    def test_every_entry_point_searches_the_config_grid(self):
+        cfg = ExperimentConfig(
+            trials=1000, noise_var=1e-10, seed=3, target="config-3", k=3, resolution=16, span=1.001,
+            policies=("grid-oracle",),
+        )
+        out = grid_oracle(cfg)
+        assert out.grid.size == 17  # 16 points and the inserted center
+        assert out.grid.max() == pytest.approx(out.center * 1.001, rel=1e-12)
+        est = estimate_mse(cfg, "grid-oracle")
+        assert est.mse == pytest.approx(out.mse, rel=1e-12)
+        gap = compare_policies(cfg, "grid-oracle", "zero")
+        assert gap.gap_db == pytest.approx(10.0 * math.log10(est.mse / estimate_mse(cfg, "zero").mse), rel=1e-12)
+        [row] = sweep(replace(cfg, k=2), "k", [3]).rows
+        assert row.mse == est.mse
+        assert estimate_mse(replace(cfg, resolution=64, span=100.0), "grid-oracle").mse != est.mse
+
+    def test_keyword_grid_replaces_the_config_grid(self):
+        cfg = ExperimentConfig(trials=500, noise_var=1e-12, seed=3)
+        a = grid_oracle(cfg, resolution=20, span=2.0)
+        b = grid_oracle(replace(cfg, resolution=20, span=2.0))
+        assert (a.beta, a.mse) == (b.beta, b.mse)
+        np.testing.assert_array_equal(a.grid, b.grid)
+        with pytest.raises(ValueError, match="span must be finite"):
+            grid_oracle(cfg, span=math.inf)
 
     def test_degenerate_center_raises(self):
         cfg = ExperimentConfig(data_var=0.0, data_mean=0.0, trials=100)
