@@ -68,7 +68,8 @@ class GainMatrix:
 def effective_gain_matrix(field: SensorField, traj: Trajectory, params: ChannelParams) -> GainMatrix:
     """Effective gains for every sensor/stop pair of a deployment."""
     d2 = squared_ranges(field.positions[:, 0], field.positions[:, 1], traj)
-    return GainMatrix(g=gain_amplitude(field.reflection, params)[:, None] / d2)
+    # the (k, n) quotient's transpose: GainMatrix keeps its layout, so .g.T is stop-major again
+    return GainMatrix(g=np.divide(gain_amplitude(field.reflection, params), d2, out=d2).T)
 
 
 def gain_amplitude(zeta, params: ChannelParams):

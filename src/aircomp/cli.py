@@ -17,7 +17,8 @@ text parser, flag, help and the commands that have the flag.  The grid
 keys ``resolution`` and ``span`` set the ``grid-oracle`` search in every
 command, though only ``oracle`` has their flags; ``oracle`` searches the
 one cell of ``target``, so ``--targets`` and ``--policies`` exist on
-``sweep`` and ``single`` only.  Configuration precedence:
+``sweep`` and ``single`` only, and an ``oracle`` manifest records that
+target and ``policies = grid-oracle``.  Configuration precedence:
 command-line flags override config-file entries, which override built-in
 defaults.  Config files are flat ``key = value`` text; ``#`` starts a
 comment and blank lines are ignored.
@@ -32,7 +33,7 @@ import argparse
 import math
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from functools import partial
 from pathlib import Path
 from typing import NamedTuple
@@ -281,8 +282,10 @@ def _build_manifest(args: argparse.Namespace) -> RunManifest:
 
     if args.command != "sweep":
         extras.update(axis="k", values=(config.k,))
-    if args.command == "oracle" or "targets" not in extras:  # the oracle runs config.target only
-        extras["targets"] = (config.target,)
+    if args.command == "oracle":  # the oracle runs only the grid search, on config.target
+        config = replace(config, policies=("grid-oracle",))
+        extras.pop("targets", None)
+    extras.setdefault("targets", (config.target,))
     manifest = RunManifest(args.command, config, **extras)
     if manifest.out is None:
         raise ConfigError("an output directory is required (--out)")

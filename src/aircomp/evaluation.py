@@ -273,7 +273,8 @@ def fixed_deployment(config: ExperimentConfig) -> SensorField:
 
 
 def _chunk_size(n: int, k: int) -> int:
-    # bounded working set: chunk * n * k floats stays within 4e6 (32 MB) whenever n * k does
+    # bounded working set: a chunk's one (chunk, k, n) gain buffer, the cell's only
+    # array of that size, stays within 4e6 floats (32 MB) whenever n * k does
     return max(1, min(16384, 4_000_000 // (n * k)))
 
 
@@ -292,6 +293,7 @@ class _Cell:
         self.tspec = tspec
         self.params = ChannelParams(g0=config.g0, tx_power_w=config.p_watts)
         self.traj = plan_diameter_trajectory(config.k, config.r_cov, config.h)
+        self._gains = None  # the buffer redeployed rounds' gains are built in
 
     @cached_property
     def stats(self):
@@ -305,15 +307,23 @@ class _Cell:
 
     @cached_property
     def fixed_gains(self) -> np.ndarray:
-        return effective_gain_matrix(fixed_deployment(self.config), self.traj, self.params).g
+        """The seeded layout's gains, stop-major ``(k, n)``."""
+        return effective_gain_matrix(fixed_deployment(self.config), self.traj, self.params).g.T
 
     def gains(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Effective gains ``(size, n, k)`` of the next ``size`` rounds' deployments."""
+        """Effective gains ``(size, k, n)`` of the next ``size`` rounds' deployments.
+
+        Redeployed gains are built in place in one buffer the cell owns,
+        so each call overwrites the gains the previous call returned.
+        """
         c = self.config
         if not c.redeploy_per_trial:
-            return np.broadcast_to(self.fixed_gains, (size, c.n, c.k))
+            return np.broadcast_to(self.fixed_gains, (size, c.k, c.n))
+        if self._gains is None or len(self._gains) < size:
+            self._gains = np.empty((size, c.k, c.n))
         x, y = scatter_on_disk(rng, c.r_cov, (size, c.n))
-        return gain_amplitude(c.zeta, self.params) / squared_ranges(x, y, self.traj)
+        d2 = squared_ranges(x, y, self.traj, out=self._gains[:size])
+        return np.divide(gain_amplitude(c.zeta, self.params), d2, out=d2)
 
 
 @dataclass(frozen=True)
@@ -444,8 +454,7 @@ def _evaluate_cell(config: ExperimentConfig, tspec: TargetSpec, policies):
     chunk = _chunk_size(config.n, config.k)
     for lo in range(0, trials, chunk):
         hi = min(trials, lo + chunk)
-        # the steps of run_trial, on the next chunk of rounds; g stays alive
-        # until the next chunk's exists, so the allocator reuses its pages
+        # the steps of run_trial, on the next chunk of rounds
         g = cell.gains(rngs[_S_POSITIONS], hi - lo)
         alpha = pilot_sums(g, config.noise_var, rngs[_S_PILOT])
         data = sensor_readings(config.data_mean, config.data_var, rngs[_S_DATA], (hi - lo, config.n))
@@ -583,7 +592,8 @@ def sweep(config: ExperimentConfig, axis: str, values, targets=None) -> Experime
         config: base configuration; ``axis`` overrides one of its fields.
         axis: ``"k"`` (stop count) or ``"n"`` (sensor count).
         values: strictly ascending positive integers for the axis.
-        targets: target selectors (defaults to ``[config.target]``).
+        targets: target selectors (defaults to ``[config.target]``); a
+            name given twice raises ``ValueError``.
 
     A failure is recorded instead of aborting the sweep: each row it
     reaches gets NaN statistics, zero trials and the exception in
@@ -597,6 +607,10 @@ def sweep(config: ExperimentConfig, axis: str, values, targets=None) -> Experime
     vals = axis_values(values)
     if targets is None:
         targets = [config.target]
+    names = [t for t in targets if isinstance(t, str)]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ValueError(f"target {name!r} is given twice")
 
     rows: list[SweepRow] = []
     for value in vals:

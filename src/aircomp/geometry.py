@@ -165,16 +165,27 @@ def plan_diameter_trajectory(k: int, r_cov: float, h: float) -> Trajectory:
 
 def distance_matrix(field: SensorField, traj: Trajectory) -> np.ndarray:
     """All slant ranges as an ``(n, k)`` matrix."""
-    return np.sqrt(squared_ranges(field.positions[:, 0], field.positions[:, 1], traj))
+    return np.sqrt(squared_ranges(field.positions[:, 0], field.positions[:, 1], traj)).T
 
 
-def squared_ranges(x, y, traj: Trajectory) -> np.ndarray:
-    """Squared slant ranges ``(..., n, k)`` from sensors at ``(x, y)`` to every stop.
+def squared_ranges(x, y, traj: Trajectory, out=None) -> np.ndarray:
+    """Squared slant ranges ``(..., k, n)`` from sensors at ``(x, y)`` to every stop.
 
-    ``x`` and ``y`` have shape ``(..., n)``; leading axes index trials.
+    ``x`` and ``y`` have shape ``(..., n)``; leading axes index trials,
+    and each stop's row of sensors is contiguous.  The result is built in
+    ``out`` if given, term by term in the order ``(x - sx)**2 + h**2 +
+    (y - sy)**2``.  Stops on the x axis (every diameter plan) add the
+    plane ``y**2``, which is ``(y - 0)**2`` bit for bit.
     """
     sx, sy = traj.stops[:, 0], traj.stops[:, 1]
-    return traj.altitude_h**2 + (x[..., None] - sx) ** 2 + (y[..., None] - sy) ** 2
+    d2 = np.subtract(x[..., None, :], sx[:, None], out=out)
+    np.square(d2, out=d2)
+    d2 += traj.altitude_h**2
+    if sy.any():
+        d2 += np.square(y[..., None, :] - sy[:, None])
+    else:
+        d2 += np.square(y)[..., None, :]
+    return d2
 
 
 def max_distance_bound(r_cov: float, h: float) -> float:

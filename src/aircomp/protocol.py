@@ -98,7 +98,7 @@ def sampling_phase(gains: GainMatrix, noise_var: float, seed=None) -> SumGainSam
     """
     if not noise_var >= 0.0:
         raise ValueError(f"noise_var must be non-negative, got {noise_var}")
-    return SumGainSamples(alpha=pilot_sums(gains.g, noise_var, seed), noise_var=noise_var)
+    return SumGainSamples(alpha=pilot_sums(gains.g.T, noise_var, seed), noise_var=noise_var)
 
 
 def computation_phase(gains: GainMatrix, data, noise_var: float, seed=None) -> AggregateSamples:
@@ -112,7 +112,7 @@ def computation_phase(gains: GainMatrix, data, noise_var: float, seed=None) -> A
         raise ValueError(f"data must have shape ({gains.n},), got {data.shape}")
     if not noise_var >= 0.0:
         raise ValueError(f"noise_var must be non-negative, got {noise_var}")
-    return AggregateSamples(dbar=stop_aggregates(gains.g, data, noise_var, seed), noise_var=noise_var)
+    return AggregateSamples(dbar=stop_aggregates(gains.g.T, data, noise_var, seed), noise_var=noise_var)
 
 
 def estimate(samples: AggregateSamples, beta) -> float:
@@ -139,22 +139,27 @@ def draw_sensor_data(field: SensorField, seed=None) -> np.ndarray:
 
 # Array forms of the protocol steps.  Leading axes index rounds, so the
 # Monte Carlo engine runs a batch of rounds through the same arithmetic
-# as one round through the functions above.
+# as one round through the functions above.  Gains are stop-major,
+# ``(..., k, n)``: each stop's sum over sensors runs along a contiguous
+# row, which the one-round functions pass as ``gains.g.T``.
 
 
 def pilot_sums(g, noise_var: float, seed=None) -> np.ndarray:
-    """Per-stop sums ``(..., k)`` of gains ``(..., n, k)`` plus receiver noise."""
-    return _add_noise(g.sum(axis=-2), noise_var, seed)
+    """Per-stop sums ``(..., k)`` of gains ``(..., k, n)`` plus receiver noise."""
+    return _add_noise(g.sum(axis=-1), noise_var, seed)
 
 
 def stop_aggregates(g, data, noise_var: float, seed=None) -> np.ndarray:
-    """Per-stop sums ``(..., k)`` of readings ``(..., n)`` weighted by gains ``(..., n, k)``, plus noise."""
-    return _add_noise(np.einsum("...nk,...n->...k", g, data), noise_var, seed)
+    """Per-stop sums ``(..., k)`` of readings ``(..., n)`` weighted by gains ``(..., k, n)``, plus noise."""
+    return _add_noise(np.einsum("...kn,...n->...k", g, data), noise_var, seed)
 
 
 def sensor_readings(data_mean, data_var, seed, shape) -> np.ndarray:
     """Gaussian readings of ``shape``, whose last axis indexes sensors."""
-    return data_mean + np.sqrt(data_var) * make_rng(seed).standard_normal(shape)
+    readings = make_rng(seed).standard_normal(shape)
+    readings *= np.sqrt(data_var)
+    readings += data_mean
+    return readings
 
 
 def combine(dbar, beta, per_stop: bool) -> np.ndarray:
@@ -170,5 +175,7 @@ def combine(dbar, beta, per_stop: bool) -> np.ndarray:
 
 def _add_noise(x, noise_var: float, seed):
     if noise_var > 0.0:
-        x = x + math.sqrt(noise_var) * make_rng(seed).standard_normal(x.shape)
+        noise = make_rng(seed).standard_normal(x.shape)
+        noise *= math.sqrt(noise_var)
+        x += noise
     return x

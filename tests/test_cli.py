@@ -395,6 +395,17 @@ class TestOracleCommand:
         assert parse_config_text((out / "manifest.txt").read_text())["targets"] == "config-3"
         assert "target = config-3" in (out / "summary.txt").read_text()
 
+    def test_manifest_policies_is_the_grid_search(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("policies = zero,benchmark\n")
+        argv = ["--trials", "200", "--noise-var", "1e-12", "--resolution", "16"]
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert main(["oracle", "--config", str(cfg), *argv, "--out", str(first)]) == 0
+        assert parse_config_text((first / "manifest.txt").read_text())["policies"] == "grid-oracle"
+        assert main(["oracle", "--config", str(first / "manifest.txt"), "--out", str(again)]) == 0
+        for name in ("results.csv", "summary.txt"):
+            assert (again / name).read_bytes() == (first / name).read_bytes()
+
     def test_degenerate_data_is_runtime_error(self, tmp_path):
         # Zero-variance zero-mean data gives no usable search center;
         # the failure surfaces as a runtime error, not a crash.

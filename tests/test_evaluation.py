@@ -12,6 +12,7 @@ The engine's contract has three load-bearing parts exercised here:
 """
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -243,6 +244,33 @@ class TestRunTrial:
                             mismatches.append((seed, noise_var, target, redeploy, single, engine))
         assert mismatches == []
 
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 127, 128, 129, 2000])
+    def test_first_trial_across_summation_block_edges(self, n):
+        # Sums over sensors run along contiguous rows in both paths, so
+        # they round alike on either side of numpy's pairwise-sum blocks
+        # (8 and 128 elements): the round is still the cell's first trial.
+        policies = [p for p in POLICY_NAMES if p != "grid-oracle"]
+        mismatches = []
+        for k in (1, 5, 20):
+            for target in ("config-1", "config-3"):
+                for redeploy in (True, False):
+                    cfg = ExperimentConfig(
+                        n=n, k=k, noise_var=1e-12, target=target, seed=11,
+                        redeploy_per_trial=redeploy, trials=3,
+                    )
+                    sqerr, accept, _, errors = evaluation._evaluate_cell(
+                        cfg, build_target(target, n), policies
+                    )
+                    assert errors == [None] * len(policies)
+                    streams = np.random.SeedSequence((cfg.seed, n, k))
+                    for i, policy in enumerate(policies):
+                        if not accept[i, 0]:
+                            with pytest.raises(SamplingRejectedError):
+                                run_trial(cfg, policy, streams)
+                        elif run_trial(cfg, policy, streams) != sqerr[i, 0]:
+                            mismatches.append((k, target, redeploy, policy))
+        assert mismatches == []
+
     def test_grid_oracle_needs_a_batch(self):
         cfg = ExperimentConfig()
         with pytest.raises(ValueError):
@@ -357,6 +385,21 @@ class TestChunking:
         assert evaluation._chunk_size(20, 5) == 16384
         assert evaluation._chunk_size(2000, 20) == 100
 
+    def test_a_chunk_holds_one_gain_buffer(self):
+        # Each chunk's gains are built in place in one (chunk, k, n) buffer;
+        # every other array of the chunk is a fraction of it.
+        cfg = ExperimentConfig(n=2000, k=20, trials=300, noise_var=1e-12)
+        buffer_bytes = evaluation._chunk_size(cfg.n, cfg.k) * cfg.k * cfg.n * 8
+        tspec = build_target(cfg.target, cfg.n)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            evaluation._evaluate_cell(cfg, tspec, cfg.policies)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * buffer_bytes, peak / buffer_bytes
+
 
 class TestFixedDeployment:
     def test_seeded_and_reused(self):
@@ -463,6 +506,11 @@ class TestSweep:
             sweep(cfg, "k", [2.5])
         with pytest.raises(ValueError):
             sweep(cfg, "k", [0, 1])
+
+    def test_repeated_target_rejected(self):
+        cfg = ExperimentConfig(trials=10, noise_var=1e-12, policies=("zero",))
+        with pytest.raises(ValueError, match="given twice"):
+            sweep(cfg, "k", [2], targets=["config-1", "config-3", "config-1"])
 
     def test_failing_cell_becomes_nan_rows(self):
         # Zero data variance with zero mean gives a zero dB reference,

@@ -21,6 +21,7 @@ from aircomp import (
     target_sum_cross_moment,
     target_value,
 )
+from aircomp.nomographic import target_values
 
 
 def moment_oracle(mu, var, v):
@@ -156,6 +157,23 @@ class TestTargetValue:
         spec = TargetSpec(np.ones(4), np.ones(4, dtype=int))
         data = np.array([1.0, 2.0, 3.0, 4.0])
         assert target_value(spec, data) == pytest.approx(10.0)
+
+    def test_powers_are_products(self):
+        data = np.random.default_rng(3).normal(0.4, 1.3, size=(500, 6))
+        w = np.arange(1.0, 7.0)
+        cubes = TargetSpec(w, np.full(6, 3))
+        weighted_sum = TargetSpec(w, np.ones(6, dtype=int))
+        assert target_values(cubes, data).tobytes() == target_values(weighted_sum, data * data * data).tobytes()
+        # mixed exponents, one group each; products round differently from pow
+        mixed = TargetSpec(w, np.array([1, 2, 3, 3, 4, 7]))
+        assert_allclose(target_values(mixed, data), (data**mixed.exponents) @ w, rtol=1e-13)
+
+    def test_batch_rows_equal_lone_rows(self):
+        data = np.random.default_rng(4).normal(0.4, 1.3, size=(40, 9))
+        for exponents in (np.ones(9, dtype=int), np.full(9, 3), np.arange(1, 10) % 4 + 1):
+            spec = TargetSpec(np.arange(1.0, 10.0), exponents)
+            batch = target_values(spec, data)
+            assert batch.tolist() == [target_value(spec, row) for row in data]
 
 
 class TestTargetMoments:
