@@ -66,12 +66,11 @@ def target_values(spec: TargetSpec, data) -> np.ndarray:
     array; exponent 1 uses the readings as they are.
     """
     v = spec.exponents
-    distinct = np.unique(v)
-    if distinct.size == 1:
-        powered = _power(data, int(distinct[0]))
+    if (v == v[0]).all():
+        powered = _power(data, int(v[0]))
     else:
         powered = np.empty(data.shape)
-        for e in distinct:
+        for e in np.unique(v):
             sensors = v == e
             powered[..., sensors] = _power(data[..., sensors], int(e))
     return np.einsum("...n,n->...", powered, spec.weights)
