@@ -61,18 +61,16 @@ def target_values(spec: TargetSpec, data) -> np.ndarray:
 
     Each round is reduced on its own, so its value does not depend on
     how many rounds share the batch (a matmul would round a batch row
-    differently from a lone row).  Powers are products, one pass per
-    distinct exponent, and far faster than ``data**v`` with an integer
-    array; exponent 1 uses the readings as they are.
+    differently from a lone row).  A single exponent, the case of every
+    built-in target, is formed by products, far faster than ``data**v``
+    with an integer array; exponent 1 uses the readings as they are.
+    Mixed exponents take ``data**v``.
     """
     v = spec.exponents
     if (v == v[0]).all():
         powered = _power(data, int(v[0]))
     else:
-        powered = np.empty(data.shape)
-        for e in np.unique(v):
-            sensors = v == e
-            powered[..., sensors] = _power(data[..., sensors], int(e))
+        powered = data**v
     return np.einsum("...n,n->...", powered, spec.weights)
 
 

@@ -164,9 +164,10 @@ class TestTargetValue:
         cubes = TargetSpec(w, np.full(6, 3))
         weighted_sum = TargetSpec(w, np.ones(6, dtype=int))
         assert target_values(cubes, data).tobytes() == target_values(weighted_sum, data * data * data).tobytes()
-        # mixed exponents, one group each; products round differently from pow
+        # mixed exponents take pow
         mixed = TargetSpec(w, np.array([1, 2, 3, 3, 4, 7]))
-        assert_allclose(target_values(mixed, data), (data**mixed.exponents) @ w, rtol=1e-13)
+        powered = data**mixed.exponents
+        assert target_values(mixed, data).tobytes() == target_values(weighted_sum, powered).tobytes()
 
     def test_batch_rows_equal_lone_rows(self):
         data = np.random.default_rng(4).normal(0.4, 1.3, size=(40, 9))
