@@ -41,9 +41,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .channel import ChannelParams
-from .estimator import gain_statistics, mse_model
+from .channel import ChannelParams, effective_gain_matrix
+from .estimator import beta_benchmark, gain_statistics, mse_exact_conditional, mse_model
 from .evaluation import (
+    ESTIMATOR_NAMES,
     POLICY_NAMES,
     TARGET_NAMES,
     ExperimentConfig,
@@ -51,6 +52,7 @@ from .evaluation import (
     axis_values,
     build_target,
     estimate_mse,
+    fixed_deployment,
     grid_oracle,
     sweep,
     target_reference,
@@ -188,6 +190,8 @@ _PARAMS = {
         _Param("trials", int, "--trials", "Monte Carlo trials per cell"),
         _Param("seed", int, "--seed", "root seed"),
         _Param("redeploy_per_trial", _bool, "--redeploy", "redeploy sensors every trial (true/false)"),
+        _Param("estimator", str, "--estimator",
+               f"per-trial Monte Carlo value: {' or '.join(ESTIMATOR_NAMES)} (see README)"),
         _Param("axis", _axis, "--axis", "swept parameter: k or n", ("sweep",)),
         _Param("values", parse_values_spec, "--values", "axis values: start:end[:step] or comma list",
                ("sweep",)),
@@ -445,6 +449,19 @@ def _run_validate() -> bool:
         if abs(breakdown.mse - ref) > 1e-12 * ref:
             raise AssertionError(f"{breakdown.mse} vs {ref}")
 
+    def conditional_matches_exact():
+        # every trial of a fixed layout under a non-pilot policy has the same conditional MSE
+        cfg = ExperimentConfig(redeploy_per_trial=False, trials=100, noise_var=1e-12, seed=3)
+        tspec = build_target(cfg.target, cfg.n)
+        params = ChannelParams(g0=cfg.g0, tx_power_w=cfg.p_watts)
+        traj = plan_diameter_trajectory(cfg.k, cfg.r_cov, cfg.h)
+        gains = effective_gain_matrix(fixed_deployment(cfg), traj, params)
+        beta = beta_benchmark(traj, params, cfg.zeta, cfg.n)
+        exact = mse_exact_conditional(tspec, gains, cfg.data_mean, cfg.data_var, cfg.noise_var, beta)
+        mse = estimate_mse(cfg, "benchmark").mse
+        if abs(mse - exact) > 1e-12 * exact:
+            raise AssertionError(f"{mse} vs {exact}")
+
     def monte_carlo_deterministic():
         cfg = ExperimentConfig(trials=2000, seed=3)
         a = estimate_mse(cfg, "benchmark")
@@ -456,6 +473,7 @@ def _run_validate() -> bool:
     check("distances-within-bound", distances_within_bound)
     check("quadrature-matches-closed-form", quadrature_matches_closed_form)
     check("model-matches-second-moment-at-zero", model_matches_second_moment_at_zero)
+    check("conditional-matches-exact", conditional_matches_exact)
     check("monte-carlo-deterministic", monte_carlo_deterministic)
     return all(checks)
 

@@ -10,7 +10,9 @@ Two analytic error models coexist deliberately and are never merged:
 * :func:`mse_exact_conditional` / :func:`mse_exact_marginal` expand the
   squared error without approximation (the marginal form keeps the full
   cross-stop second-moment matrix of the gains).  These serve as the
-  ground truth the Monte Carlo engine is checked against.
+  ground truth the Monte Carlo engine is checked against.  Both are
+  :class:`DataMoments` evaluated at total gains; the engine's default
+  estimator applies the same algebra to every trial's realized gains.
 
 Coefficient rules that use pilot measurements (:func:`beta_heuristic`,
 :func:`beta_heuristic_equal`) treat every sensor's gain at stop ``k`` as
@@ -25,6 +27,7 @@ accurate at low altitude where the gain under a stop is a narrow spike.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -301,22 +304,76 @@ def beta_equal_optimal(
     return breakdown.linear_b / breakdown.quadratic_a
 
 
-def _exact_mse(spec, t_mean, t_sq, data_mean, data_var, noise_term):
-    """Shared exact expansion given per-sensor E[T_i] and E[T_i**2].
+@dataclass(frozen=True)
+class DataMoments:
+    """The data moments of the exact error, for one target and data law.
 
-    ``T_i`` is the total combined gain applied to sensor ``i``; the error
-    is ``sum_i (T_i d_i - w_i d_i**v_i) + combined noise`` with sensors
-    independent, so only first and second moments of ``T_i`` enter.
+    With ``T_i`` the total combined gain applied to sensor ``i``, the
+    error is ``sum_i (T_i d_i - w_i d_i**v_i)`` plus the combined noise,
+    and with sensors independent its mean square given ``T`` is
+
+    ``sum_i var_i (T_i - tau_i)**2 + residual + (T . mu - target_mean)**2 + noise``.
+
+    ``tau_i = w_i v_i E[d_i**(v_i-1)]`` is the gain that best matches the
+    target term linearly, ``Cov(d, d**v) = var v E[d**(v-1)]`` (Stein's
+    lemma), and ``residual`` is what no gain reaches, the rest of
+    ``sum_i w_i**2 Var(d_i**v_i)``: its Hermite terms
+    ``var**j / j! * (v! / (v-j)! * E[d**(v-j)])**2`` for ``j >= 2``.  Every
+    term is non-negative, so the value never drops below zero by
+    rounding, and ``data_var = 0`` needs no special case.
     """
-    mu, var = _per_sensor(spec, data_mean, data_var)
-    w, v = spec.weights, spec.exponents
-    m2 = mu**2 + var
-    m_v = gaussian_raw_moment(mu, var, v)
-    m_v1 = gaussian_raw_moment(mu, var, v + 1)
-    m_2v = gaussian_raw_moment(mu, var, 2 * v)
-    ex2 = t_sq * m2 - 2.0 * t_mean * w * m_v1 + w**2 * m_2v
-    ex = t_mean * mu - w * m_v
-    return float(ex2.sum() - np.sum(ex**2) + ex.sum() ** 2 + noise_term)
+
+    mu: np.ndarray  # (n,) data means
+    var: np.ndarray  # (n,) data variances
+    tau: np.ndarray  # (n,) best linear gains
+    target_mean: float
+    residual: float
+
+    @classmethod
+    def of(cls, spec: TargetSpec, data_mean, data_var) -> "DataMoments":
+        mu, var = _per_sensor(spec, data_mean, data_var)
+        w, v = spec.weights, spec.exponents
+        target_mean = float(np.sum(w * gaussian_raw_moment(mu, var, v)))
+        tau = w * v * gaussian_raw_moment(mu, var, v - 1)
+        residual = 0.0
+        falling = v.astype(np.float64)  # v! / (v-j)!, zero once j > v
+        for j in range(2, int(v.max()) + 1):
+            falling = falling * np.maximum(v - j + 1, 0)
+            coef = falling * gaussian_raw_moment(mu, var, np.maximum(v - j, 0))
+            residual += float(np.sum(w**2 * var**j * coef**2)) / math.factorial(j)
+        return cls(mu=np.array(mu), var=np.array(var), tau=tau, target_mean=target_mean, residual=residual)
+
+    @property
+    def target_second_moment(self) -> float:
+        """``E[target**2]``: the error of the zero estimate."""
+        return float(self.var @ self.tau**2) + self.residual + self.target_mean**2
+
+    def mse(self, t, noise_term):
+        """Exact MSE given total gains ``t`` ``(..., n)``, one value per leading index.
+
+        ``noise_term`` is ``sum_k beta_k**2 nv_k``, a scalar or ``(...)``.
+        ``t`` is overwritten.
+        """
+        offset = np.einsum("...n,n->...", t, self.mu) - self.target_mean
+        t -= self.tau
+        t *= t
+        out = np.einsum("...n,n->...", t, self.var)
+        out += offset * offset + self.residual + noise_term
+        return out
+
+    def equal_quadratic(self, g_sum, noise_total: float):
+        """Per-round ``(A, B)`` of the exact MSE ``A b**2 - 2 B b + C`` under one equal coefficient ``b``.
+
+        ``g_sum`` ``(..., n)`` holds each sensor's gains summed over stops,
+        so ``T = b * g_sum``; ``noise_total`` is ``sum_k nv_k``, and ``C``
+        is :attr:`target_second_moment`.
+        """
+        dot_mu = np.einsum("...n,n->...", g_sum, self.mu)
+        quad = np.einsum("...n,...n,n->...", g_sum, g_sum, self.var)
+        quad += dot_mu * dot_mu + noise_total
+        lin = np.einsum("...n,n->...", g_sum, self.var * self.tau)
+        lin += self.target_mean * dot_mu
+        return quad, lin
 
 
 def mse_exact_conditional(
@@ -332,8 +389,8 @@ def mse_exact_conditional(
         raise ValueError(f"gain matrix has {gains.n} sensors but spec has {spec.n}")
     beta_arr = _as_beta_array(beta, gains.k)
     noise = _noise_array(noise_vars, gains.k)
-    t = gains.g @ beta_arr
-    return _exact_mse(spec, t, t**2, data_mean, data_var, float(beta_arr**2 @ noise))
+    moments = DataMoments.of(spec, data_mean, data_var)
+    return float(moments.mse(gains.g @ beta_arr, float(beta_arr**2 @ noise)))
 
 
 def mse_exact_marginal(
@@ -348,12 +405,18 @@ def mse_exact_marginal(
 
     Uses the full cross-stop second-moment matrix of the gains, so the
     correlation a shared sensor position induces between stops is kept.
+    Each sensor's total gain has mean ``beta . Eg`` and variance
+    ``beta' M beta - (beta . Eg)**2``, independently across sensors, so
+    the error is the one at the mean gains plus that variance times
+    ``sum_i E[d_i**2]``.
     """
     beta_arr = _as_beta_array(beta, stats.k)
     noise = _noise_array(noise_vars, stats.k)
+    moments = DataMoments.of(spec, data_mean, data_var)
     t_mean = float(beta_arr @ stats.mean_g)
-    t_sq = float(beta_arr @ stats.second_moment @ beta_arr)
-    return _exact_mse(spec, t_mean, t_sq, data_mean, data_var, float(beta_arr**2 @ noise))
+    t_var = float(beta_arr @ stats.second_moment @ beta_arr) - t_mean**2
+    spread = t_var * float(np.sum(moments.var + moments.mu**2))
+    return float(moments.mse(np.full(spec.n, t_mean), float(beta_arr**2 @ noise))) + spread
 
 
 def pilot_accepted(alpha) -> np.ndarray:

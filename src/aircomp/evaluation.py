@@ -16,7 +16,17 @@ for positions, pilot noise, readings, and data-flyover noise, and every
 chunk keeps drawing from them.  Each round takes its draws in order and
 reduces on its own, so results are reproducible bit-for-bit for a fixed
 configuration and do not depend on the chunk size, which bounds memory
-only.  :func:`run_trial` on that seed sequence is the cell's first round.
+only.
+
+The ``estimator`` of a configuration sets what a trial records.
+``"plain"`` records the squared error of the realized round.
+``"conditional"``, the default, draws only positions and pilot noise and
+records the exact mean square error given them (see
+:class:`~aircomp.estimator.DataMoments`): readings and data-flyover
+noise are integrated in closed form, so the per-trial variance is far
+smaller while the mean is the same.  Acceptance depends on the pilot
+only, so both estimators accept the same trials.  :func:`run_trial` on
+the cell's seed sequence is the first round of a plain cell.
 
 MSE values quoted in dB are normalized by the analytic second moment of
 the target, ``10 * log10(mse / E[target**2])``.
@@ -33,6 +43,7 @@ import numpy as np
 
 from .channel import ChannelParams, effective_gain_matrix, gain_amplitude
 from .estimator import (
+    DataMoments,
     beta_benchmark,
     beta_equal_optimal,
     beta_grid_oracle,
@@ -58,6 +69,7 @@ from .rng import make_rng, spawn_seeds
 
 POLICY_NAMES = ("heuristic", "heuristic-equal", "optimal-equal", "benchmark", "grid-oracle", "zero")
 TARGET_NAMES = ("config-1", "config-2", "config-3")
+ESTIMATOR_NAMES = ("conditional", "plain")
 
 # a cell's streams, in a fixed order
 _S_POSITIONS, _S_PILOT, _S_DATA, _S_FLYOVER = range(4)
@@ -84,6 +96,13 @@ class ExperimentConfig:
     coefficient.  With ``redeploy_per_trial`` set, every trial scatters
     a fresh layout; otherwise one seeded layout is reused and the Monte
     Carlo MSE is conditional on it.
+
+    ``estimator`` is what each trial records.  ``"conditional"`` (the
+    default) samples positions and pilot noise and records the exact MSE
+    given them, integrating readings and data-flyover noise in closed
+    form; ``"plain"`` samples those too and records the realized squared
+    error.  Both have the same mean and accept the same trials; the
+    conditional one reaches a given standard error with far fewer.
     """
 
     n: int = 20
@@ -103,6 +122,7 @@ class ExperimentConfig:
     trials: int = 10000
     seed: int = 1
     redeploy_per_trial: bool = True
+    estimator: str = "conditional"
 
     def __post_init__(self):
         for name in ("n", "k", "trials", "resolution", "seed"):
@@ -130,6 +150,8 @@ class ExperimentConfig:
             raise ValueError(f"span must be > 1, got {self.span}")
         if isinstance(self.target, str) and self.target not in TARGET_NAMES:
             raise ValueError(f"unknown target {self.target!r}; choose from {TARGET_NAMES}")
+        if self.estimator not in ESTIMATOR_NAMES:
+            raise ValueError(f"unknown estimator {self.estimator!r}; choose from {ESTIMATOR_NAMES}")
         object.__setattr__(self, "policies", tuple(self.policies))
         names = [p for p in self.policies if isinstance(p, str)]
         for i, p in enumerate(names):
@@ -306,6 +328,11 @@ class _Cell:
         return beta_equal_optimal(self.tspec, self.stats, c.data_mean, c.data_var, c.noise_var)
 
     @cached_property
+    def moments(self) -> DataMoments:
+        c = self.config
+        return DataMoments.of(self.tspec, c.data_mean, c.data_var)
+
+    @cached_property
     def fixed_gains(self) -> np.ndarray:
         """The seeded layout's gains, stop-major ``(k, n)``."""
         return effective_gain_matrix(fixed_deployment(self.config), self.traj, self.params).g.T
@@ -407,25 +434,95 @@ def _resolve(policy, cell: _Cell) -> _Rule:
     raise ValueError(f"unknown policy {policy!r}; choose from {POLICY_NAMES}")
 
 
-def _grid_search(agg_sum, agg_target, center: float, resolution: int, span: float):
+class _PlainRounds:
+    """A chunk's rounds played out: readings and data-flyover noise drawn, errors realized."""
+
+    def __init__(self, cell: _Cell, g, rngs):
+        c = cell.config
+        data = sensor_readings(c.data_mean, c.data_var, rngs[_S_DATA], (len(g), c.n))
+        self.dbar = stop_aggregates(g, data, c.noise_var, rngs[_S_FLYOVER])
+        self.target = target_values(cell.tspec, data)
+
+    def errors(self, beta, per_stop: bool):
+        """Squared errors ``(S,)`` under coefficients from a rule's batch."""
+        return (combine(self.dbar, beta, per_stop) - self.target) ** 2
+
+    def equal_columns(self):
+        """What the grid search keeps of each round: its aggregate sum and its target."""
+        return self.dbar.sum(axis=1), self.target
+
+    @staticmethod
+    def grid(columns, cell: _Cell):
+        """The grid search's per-round errors and objective at an equal coefficient ``b``."""
+        agg_sum, agg_target = columns
+
+        def sqerr(b):
+            return (b * agg_sum - agg_target) ** 2
+
+        return sqerr, lambda b: float(np.mean(sqerr(b)))
+
+
+class _ConditionalRounds:
+    """A chunk's rounds scored by ``E[err**2 | gains, pilot]``; readings and data-flyover noise are never drawn."""
+
+    def __init__(self, cell: _Cell, g, rngs):
+        self.cell = cell
+        self.g = g
+        self._quadratic = None
+
+    def errors(self, beta, per_stop: bool):
+        """Exact conditional MSEs ``(S,)`` under coefficients from a rule's batch."""
+        moments, noise_var = self.cell.moments, self.cell.config.noise_var
+        if per_stop:
+            t = np.einsum("...k,...kn->...n", beta, self.g)
+            return moments.mse(t, noise_var * np.einsum("...k,...k->...", beta, beta))
+        return _equal_mse(*self.equal_columns(), moments.target_second_moment, beta)
+
+    def equal_columns(self):
+        """Each round's ``(A, B)``: an equal coefficient ``b`` scores ``A b**2 - 2 B b + C``."""
+        if self._quadratic is None:
+            c = self.cell.config
+            g_sum = np.einsum("...kn->...n", self.g)  # over stops, far faster than sum(axis=1) for small n
+            self._quadratic = self.cell.moments.equal_quadratic(g_sum, c.k * c.noise_var)
+        return self._quadratic
+
+    @staticmethod
+    def grid(columns, cell: _Cell):
+        """The grid search's per-round errors and objective: the exact quadratic in ``b``."""
+        quad, lin = columns
+        const = cell.moments.target_second_moment
+        mean_quad, mean_lin = float(np.mean(quad)), float(np.mean(lin))
+
+        def sqerr(b):
+            return _equal_mse(quad, lin, const, b)
+
+        return sqerr, lambda b: b * b * mean_quad - 2.0 * b * mean_lin + const
+
+
+def _equal_mse(quad, lin, const, b):
+    # rounding can take a near-zero quadratic slightly below zero
+    out = quad * (b * b) - 2.0 * b * lin + const
+    return np.maximum(out, 0.0, out=out)
+
+
+_ROUNDS = {"plain": _PlainRounds, "conditional": _ConditionalRounds}
+
+
+def _grid_search(sqerr, objective, center: float, resolution: int, span: float):
     """Equal-coefficient grid search scored on one batch of rounds.
 
-    ``agg_sum`` holds each round's aggregate sum and ``agg_target`` its
-    target.  Returns the :class:`GridOracleResult` and the squared
-    errors of its best coefficient.
+    ``objective(b)`` is the batch's mean error at an equal coefficient
+    ``b`` and ``sqerr(b)`` its per-round errors.  Returns the
+    :class:`GridOracleResult` and the errors of its best coefficient.
     """
-
-    def sqerr(b):
-        return (b * agg_sum - agg_target) ** 2
-
     record = []
 
-    def objective(b):
-        val = float(np.mean(sqerr(b)))
+    def recorded(b):
+        val = objective(b)
         record.append((b, val))
         return val
 
-    beta, mse = beta_grid_oracle(objective, center, resolution=resolution, span=span)
+    beta, mse = beta_grid_oracle(recorded, center, resolution=resolution, span=span)
     grid, values = (np.array(column) for column in zip(*record))
     result = GridOracleResult(beta=beta, mse=mse, center=center, grid=grid, values=values)
     return result, sqerr(beta)
@@ -434,12 +531,15 @@ def _grid_search(agg_sum, agg_target, center: float, resolution: int, span: floa
 def _evaluate_cell(config: ExperimentConfig, tspec: TargetSpec, policies):
     """Simulate one cell and score every policy on the same trials.
 
-    Returns squared errors and acceptance flags, one row per policy, the
-    grid search if a policy is ``grid-oracle`` (else ``None``), and per
-    policy the exception that stopped its rule (else ``None``); a failed
-    policy's rows are meaningless and the others are unaffected.
+    Returns per-trial errors (squared errors, or their conditional means;
+    see ``ExperimentConfig.estimator``) and acceptance flags, one row per
+    policy, the grid search if a policy is ``grid-oracle`` (else
+    ``None``), and per policy the exception that stopped its rule (else
+    ``None``); a failed policy's rows are meaningless and the others are
+    unaffected.
     """
     cell = _Cell(config, tspec)
+    rounds = _ROUNDS[config.estimator]
     rules = [_resolve(p, cell) for p in policies]
     errors = [None] * len(rules)
     trials = config.trials
@@ -447,8 +547,7 @@ def _evaluate_cell(config: ExperimentConfig, tspec: TargetSpec, policies):
     accept = np.ones((len(rules), trials), dtype=bool)
     oracle_rows = [i for i, rule in enumerate(rules) if rule.coefficients is None]
     if oracle_rows:
-        agg_sum = np.empty(trials)
-        agg_target = np.empty(trials)
+        columns = np.empty((2, trials))
 
     rngs = [make_rng(s) for s in spawn_seeds((config.seed, config.n, config.k), 4)]
     chunk = _chunk_size(config.n, config.k)
@@ -457,9 +556,7 @@ def _evaluate_cell(config: ExperimentConfig, tspec: TargetSpec, policies):
         # the steps of run_trial, on the next chunk of rounds
         g = cell.gains(rngs[_S_POSITIONS], hi - lo)
         alpha = pilot_sums(g, config.noise_var, rngs[_S_PILOT])
-        data = sensor_readings(config.data_mean, config.data_var, rngs[_S_DATA], (hi - lo, config.n))
-        dbar = stop_aggregates(g, data, config.noise_var, rngs[_S_FLYOVER])
-        target = target_values(tspec, data)
+        batch = rounds(cell, g, rngs)
         for i, rule in enumerate(rules):
             if rule.coefficients is None or errors[i] is not None:
                 continue
@@ -470,16 +567,16 @@ def _evaluate_cell(config: ExperimentConfig, tspec: TargetSpec, policies):
                 continue
             if ok is not None:
                 accept[i, lo:hi] = ok
-            sqerr[i, lo:hi] = (combine(dbar, beta, rule.per_stop) - target) ** 2
+            sqerr[i, lo:hi] = batch.errors(beta, rule.per_stop)
         if oracle_rows:
-            agg_sum[lo:hi] = dbar.sum(axis=1)
-            agg_target[lo:hi] = target
+            columns[:, lo:hi] = batch.equal_columns()
 
     oracle = None
     if oracle_rows:
         try:
+            errors_at, objective = rounds.grid(columns, cell)
             oracle, sqerr[oracle_rows] = _grid_search(
-                agg_sum, agg_target, cell.equal_optimal, config.resolution, config.span
+                errors_at, objective, cell.equal_optimal, config.resolution, config.span
             )
         except _FAILURES as exc:
             for i in oracle_rows:
@@ -510,7 +607,8 @@ def run_trial(config: ExperimentConfig, policy, trial_seed) -> float:
     Deterministic in ``(config, policy, trial_seed)``.  The round runs
     the engine's arithmetic on the engine's draws, so on a cell's seed
     sequence, ``np.random.SeedSequence((seed, n, k))``, it reproduces the
-    first trial of the cell bit for bit, whatever its trial count.  Raises
+    first trial of a plain cell (``estimator="plain"``) bit for bit,
+    whatever its trial count; ``config.estimator`` is not read.  Raises
     :class:`~aircomp.estimator.SamplingRejectedError` when a pilot-using
     policy sees a non-positive measurement.  The ``grid-oracle`` policy
     needs a batch of trials and is rejected here.

@@ -187,7 +187,7 @@ class TestParameterTable:
                 n=7, k=3, r_cov=12.5, h=40.0, p_watts=0.5, noise_var=1e-12, zeta=0.8,
                 g0=0.03, data_mean=0.25, data_var=2.0, target="config-3",
                 policies=("zero", "grid-oracle"), resolution=32, span=7.5, trials=40, seed=9,
-                redeploy_per_trial=False,
+                redeploy_per_trial=False, estimator="plain",
             ),
             targets=("config-2", "config-3"),
             out=str(tmp_path / "elsewhere"),
@@ -205,6 +205,29 @@ class TestParameterTable:
         for spelling, rendered in (("no", "false"), ("YES", "true"), ("0", "false")):
             out = run_single(tmp_path, spelling, extra=["--redeploy", spelling])
             assert parse_config_text((out / "manifest.txt").read_text())["redeploy_per_trial"] == rendered
+
+
+class TestEstimatorParameter:
+    def test_round_trips_through_flag_manifest_and_config_file(self, tmp_path):
+        out = run_single(tmp_path, "run", extra=["--estimator", "plain"])
+        assert parse_config_text((out / "manifest.txt").read_text())["estimator"] == "plain"
+        rerun = tmp_path / "rerun"
+        assert main(["single", "--config", str(out / "manifest.txt"), "--out", str(rerun)]) == 0
+        assert (rerun / "results.csv").read_bytes() == (out / "results.csv").read_bytes()
+        cfg = ExperimentConfig(trials=300, noise_var=1e-12, seed=3, estimator="plain")
+        row = (out / "results.csv").read_text().splitlines()[1].split(",")
+        assert float(row[3]) == estimate_mse(cfg, row[2]).mse
+        default = run_single(tmp_path, "default")
+        assert parse_config_text((default / "manifest.txt").read_text())["estimator"] == "conditional"
+        assert (default / "results.csv").read_bytes() != (out / "results.csv").read_bytes()
+
+    def test_unknown_estimator_is_config_error(self, tmp_path, capsys):
+        assert main(["single", "--estimator", "bootstrap", "--out", str(tmp_path / "x")]) == 2
+        assert "unknown estimator 'bootstrap'" in capsys.readouterr().err
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("estimator = Plain\n")
+        assert main(["oracle", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        assert not (tmp_path / "x").exists()
 
 
 class TestUnitConversions:
@@ -482,7 +505,9 @@ class TestGridFromConfig:
 
     def run(self, tmp_path, name, argv, grid=GRID):
         cfg = tmp_path / f"{name}.cfg"
-        cfg.write_text(grid + "trials = 2000\nnoise_var = 1e-10\n")
+        # the plain estimator: its sampled objective moves with the grid, while the
+        # exact conditional one has its minimum at this cell's closed-form centre
+        cfg.write_text(grid + "trials = 2000\nnoise_var = 1e-10\nestimator = plain\n")
         out = tmp_path / name
         assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 0
         return out
@@ -496,7 +521,8 @@ class TestGridFromConfig:
     def test_grid_oracle_rows_use_the_config_grid(self, tmp_path, argv):
         out = self.run(tmp_path, "run", argv)
         cfg = ExperimentConfig(
-            k=3, target="config-3", resolution=16, span=1.001, trials=2000, noise_var=1e-10
+            k=3, target="config-3", resolution=16, span=1.001, trials=2000, noise_var=1e-10,
+            estimator="plain",
         )
         assert self.grid_oracle_mse(out, 3) == estimate_mse(cfg, "grid-oracle").mse
         default = self.run(tmp_path, "default", argv, grid="target = config-3\npolicies = grid-oracle\n")
@@ -512,7 +538,7 @@ class TestValidateCommand:
     def test_all_checks_pass(self, capsys):
         assert main(["validate"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
-        assert len(lines) == 5
+        assert len(lines) == 6
         assert all(line.startswith("PASS ") for line in lines)
         names = {line.split()[1] for line in lines}
         assert names == {
@@ -520,5 +546,6 @@ class TestValidateCommand:
             "distances-within-bound",
             "quadrature-matches-closed-form",
             "model-matches-second-moment-at-zero",
+            "conditional-matches-exact",
             "monte-carlo-deterministic",
         }

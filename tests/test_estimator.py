@@ -22,6 +22,7 @@ from scipy import integrate
 
 from aircomp.channel import ChannelParams, GainMatrix, effective_gain_matrix
 from aircomp.estimator import (
+    DataMoments,
     GainStatistics,
     QuadratureConvergenceError,
     SamplingRejectedError,
@@ -36,7 +37,7 @@ from aircomp.estimator import (
     mse_model,
 )
 from aircomp.geometry import Trajectory, deploy_sensors, plan_diameter_trajectory
-from aircomp.nomographic import TargetSpec
+from aircomp.nomographic import TargetSpec, gaussian_raw_moment, target_second_moment
 from aircomp.protocol import BetaVector, SumGainSamples
 
 
@@ -605,6 +606,34 @@ class TestExactMse:
             draws[i] = mse_exact_conditional(spec, gains, mu, var, nv, beta)
         std_err = draws.std(ddof=1) / math.sqrt(draws.size)
         assert abs(draws.mean() - marginal) <= 4.0 * std_err
+
+    def test_data_moments_match_the_raw_moment_expansion(self):
+        # With X_i = T_i d_i - w_i d_i**v_i and sensors independent, the mean
+        # square is sum E[X_i**2] - sum E[X_i]**2 + (sum E[X_i])**2 + noise,
+        # written out here from raw moments up to order 2v.
+        rng = np.random.default_rng(3)
+        for _ in range(300):
+            n = int(rng.integers(1, 8))
+            spec = TargetSpec(weights=rng.uniform(0.2, 3.0, n), exponents=rng.integers(1, 6, n))
+            mu = rng.normal(0.0, 1.5, n) if rng.random() < 0.5 else float(rng.normal())
+            var = rng.uniform(0.0, 2.0, n) * (rng.random(n) < 0.8) if rng.random() < 0.7 else 0.0
+            t = rng.uniform(-1.0, 3.0, (4, n))  # a batch of four rounds
+            noise = float(rng.uniform(0.0, 0.5))
+            w, v = spec.weights, spec.exponents
+            m1, m2, m_v, m_v1, m_2v = (gaussian_raw_moment(mu, var, order) for order in (1, 2, v, v + 1, 2 * v))
+            ex2 = (t * t * m2 - 2.0 * t * w * m_v1 + w**2 * m_2v).sum(axis=1)
+            ex = t * m1 - w * m_v
+            expected = ex2 - (ex**2).sum(axis=1) + ex.sum(axis=1) ** 2 + noise
+            moments = DataMoments.of(spec, mu, var)
+            got = moments.mse(t.copy(), noise)
+            assert_allclose(got, expected, rtol=1e-10, atol=1e-12 * np.max(np.abs(ex2)))
+            assert np.all(got >= 0.0)
+            assert moments.target_second_moment == pytest.approx(target_second_moment(spec, mu, var), rel=1e-12)
+            # an equal coefficient b scales each round's stop sums: T = b * g_sum
+            g_sum, b = t[0], float(rng.uniform(-1.0, 2.0))
+            quad, lin = moments.equal_quadratic(g_sum, noise)
+            at_b = moments.mse(b * g_sum, noise * b * b)
+            assert quad * b * b - 2.0 * lin * b + moments.target_second_moment == pytest.approx(at_b, rel=1e-9, abs=1e-12)
 
     def test_sensor_count_mismatch_raises(self):
         spec = TargetSpec(weights=np.ones(2), exponents=np.ones(2, dtype=int))

@@ -22,6 +22,7 @@ from numpy.testing import assert_allclose
 from aircomp import evaluation
 from aircomp.estimator import SamplingRejectedError
 from aircomp.evaluation import (
+    ESTIMATOR_NAMES,
     POLICY_NAMES,
     TARGET_NAMES,
     EstimationError,
@@ -39,11 +40,21 @@ from aircomp.evaluation import (
     target_reference,
     to_db,
 )
-from aircomp.channel import ChannelParams, effective_gain_matrix
+from aircomp.channel import ChannelParams, GainMatrix, effective_gain_matrix
+from aircomp.estimator import (
+    beta_benchmark,
+    beta_equal_optimal,
+    beta_heuristic,
+    beta_heuristic_equal,
+    gain_statistics,
+    mse_exact_conditional,
+)
 from aircomp.geometry import plan_diameter_trajectory
 from aircomp.nomographic import TargetSpec
-from aircomp.protocol import BetaVector
+from aircomp.protocol import BetaVector, pilot_sums
+from aircomp.rng import make_rng, spawn_seeds
 
+ROUND_POLICIES = [p for p in POLICY_NAMES if p != "grid-oracle"]  # the policies a lone round can run
 
 class TestExperimentConfig:
     """Validation and defaults of the experiment description."""
@@ -215,25 +226,36 @@ class TestRunTrial:
             for seed in range(20):
                 run_trial(cfg, "heuristic", trial_seed=seed)
 
-    @pytest.mark.parametrize("policy", [p for p in POLICY_NAMES if p != "grid-oracle"])
-    def test_reproduces_the_engines_first_trial(self, policy):
+    @pytest.mark.parametrize("n, k, policy", [
+        *(pytest.param(20, 5, p, id=p) for p in ROUND_POLICIES),
+        # sums over sensors run along contiguous rows in both paths, so they
+        # round alike on either side of numpy's pairwise-sum blocks (8 and 128)
+        *(pytest.param(n, k, p, id=f"{p}-n{n}-k{k}")
+          for n in (1, 7, 8, 9, 127, 128, 129, 2000) for k in (1, 5, 20) for p in ROUND_POLICIES),
+    ])
+    def test_reproduces_the_engines_first_trial(self, n, k, policy):
         # On a cell's seed sequence one round through the composable API is
-        # the first trial of a 64-trial cell: same value bit for bit, and
-        # rejected exactly when the engine rejects.
+        # the first trial of a plain cell: same value bit for bit, and
+        # rejected exactly when the engine rejects.  The reference size runs
+        # many seeds and noise levels, the others one of each.
+        if (n, k) == (20, 5):
+            seeds, noises, trials = range(40), (0.0, 1e-12, 1e-10), 64
+        else:
+            seeds, noises, trials = (11,), (1e-12,), 3
         mismatches = []
-        for seed in range(40):
-            for noise_var in (0.0, 1e-12, 1e-10):
+        for seed in seeds:
+            for noise_var in noises:
                 for target in ("config-1", "config-3"):
                     for redeploy in (True, False):
                         cfg = ExperimentConfig(
-                            noise_var=noise_var, target=target, seed=seed,
-                            redeploy_per_trial=redeploy, trials=64,
+                            n=n, k=k, noise_var=noise_var, target=target, seed=seed,
+                            redeploy_per_trial=redeploy, trials=trials, estimator="plain",
                         )
                         sqerr, accept, _, errors = evaluation._evaluate_cell(
-                            cfg, build_target(target, cfg.n), [policy]
+                            cfg, build_target(target, n), [policy]
                         )
                         assert errors == [None]
-                        streams = np.random.SeedSequence((seed, cfg.n, cfg.k))
+                        streams = np.random.SeedSequence((seed, n, k))
                         if not accept[0, 0]:
                             with pytest.raises(SamplingRejectedError):
                                 run_trial(cfg, policy, streams)
@@ -242,33 +264,6 @@ class TestRunTrial:
                         engine = sqerr[0, 0]
                         if single != engine:
                             mismatches.append((seed, noise_var, target, redeploy, single, engine))
-        assert mismatches == []
-
-    @pytest.mark.parametrize("n", [1, 7, 8, 9, 127, 128, 129, 2000])
-    def test_first_trial_across_summation_block_edges(self, n):
-        # Sums over sensors run along contiguous rows in both paths, so
-        # they round alike on either side of numpy's pairwise-sum blocks
-        # (8 and 128 elements): the round is still the cell's first trial.
-        policies = [p for p in POLICY_NAMES if p != "grid-oracle"]
-        mismatches = []
-        for k in (1, 5, 20):
-            for target in ("config-1", "config-3"):
-                for redeploy in (True, False):
-                    cfg = ExperimentConfig(
-                        n=n, k=k, noise_var=1e-12, target=target, seed=11,
-                        redeploy_per_trial=redeploy, trials=3,
-                    )
-                    sqerr, accept, _, errors = evaluation._evaluate_cell(
-                        cfg, build_target(target, n), policies
-                    )
-                    assert errors == [None] * len(policies)
-                    streams = np.random.SeedSequence((cfg.seed, n, k))
-                    for i, policy in enumerate(policies):
-                        if not accept[i, 0]:
-                            with pytest.raises(SamplingRejectedError):
-                                run_trial(cfg, policy, streams)
-                        elif run_trial(cfg, policy, streams) != sqerr[i, 0]:
-                            mismatches.append((k, target, redeploy, policy))
         assert mismatches == []
 
     def test_grid_oracle_needs_a_batch(self):
@@ -399,6 +394,115 @@ class TestChunking:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * buffer_bytes, peak / buffer_bytes
+
+
+class TestConditionalEstimator:
+    """The default estimator: each trial records its exact MSE given its gains and pilot."""
+
+    @staticmethod
+    def rounds(cfg):
+        """A cell's gains ``(trials, k, n)`` and pilot sums ``(trials, k)``, drawn from its streams."""
+        cell = evaluation._Cell(cfg, build_target(cfg.target, cfg.n))
+        streams = [make_rng(s) for s in spawn_seeds((cfg.seed, cfg.n, cfg.k), 4)]
+        g = np.array(cell.gains(streams[0], cfg.trials))
+        return cell, g, pilot_sums(g, cfg.noise_var, streams[1])
+
+    @staticmethod
+    def coefficients(cell, policy, alpha):
+        """One round's coefficients through the public rules: a ``(k,)`` vector or a scalar."""
+        c, tspec = cell.config, cell.tspec
+        if not isinstance(policy, str):
+            return policy  # a fixed vector or scalar
+        if policy == "heuristic":
+            return beta_heuristic(alpha, tspec, c.data_mean, c.data_var, c.noise_var, c.n).beta
+        if policy == "heuristic-equal":
+            return beta_heuristic_equal(alpha, tspec, c.data_mean, c.data_var, c.noise_var, c.n)
+        if policy == "optimal-equal":
+            stats = gain_statistics(cell.traj, c.r_cov, cell.params, c.zeta)
+            return beta_equal_optimal(tspec, stats, c.data_mean, c.data_var, c.noise_var)
+        if policy == "benchmark":
+            return beta_benchmark(cell.traj, cell.params, c.zeta, c.n).beta
+        assert policy == "zero"
+        return 0.0
+
+    @pytest.mark.parametrize("redeploy", [True, False])
+    @pytest.mark.parametrize("data_mean, data_var", [(0.0, 1.0), (1.5, 1.0), (1.5, 0.0), (0.0, 0.0)])
+    @pytest.mark.parametrize("target", TARGET_NAMES)
+    def test_each_trial_is_the_exact_conditional_mse(self, target, data_mean, data_var, redeploy):
+        cfg = ExperimentConfig(
+            target=target, data_mean=data_mean, data_var=data_var, redeploy_per_trial=redeploy,
+            noise_var=1e-12, trials=12, seed=8,
+        )
+        policies = [*ROUND_POLICIES, np.linspace(1e5, 2e5, cfg.k), 1.5e5]
+        sqerr, accept, _, errors = evaluation._evaluate_cell(cfg, build_target(target, cfg.n), policies)
+        cell, g, alpha = self.rounds(cfg)
+        checked = 0
+        for i, policy in enumerate(policies):
+            if errors[i] is not None:  # a degenerate optimal-equal model: the public rule fails too
+                with pytest.raises(type(errors[i])):
+                    self.coefficients(cell, policy, alpha[0])
+                continue
+            for j in np.flatnonzero(accept[i]):
+                beta = self.coefficients(cell, policy, alpha[j])
+                exact = mse_exact_conditional(
+                    cell.tspec, GainMatrix(g[j].T), data_mean, data_var, cfg.noise_var, beta
+                )
+                assert sqerr[i, j] == pytest.approx(exact, rel=1e-12, abs=1e-300), (i, j)
+                checked += 1
+        assert checked >= 5 * cfg.trials
+
+    def test_acceptance_flags_match_the_plain_estimator(self):
+        for noise_var in (0.0, 1e-12, 1e-10, 1e-9):
+            cfg = ExperimentConfig(noise_var=noise_var, trials=3000, seed=4)
+            tspec = build_target(cfg.target, cfg.n)
+            _, conditional, _, _ = evaluation._evaluate_cell(cfg, tspec, ROUND_POLICIES)
+            _, plain, _, _ = evaluation._evaluate_cell(replace(cfg, estimator="plain"), tspec, ROUND_POLICIES)
+            np.testing.assert_array_equal(conditional, plain)
+        assert not plain.all()  # some rounds were rejected
+
+    @pytest.mark.parametrize("target", ["config-1", "config-3"])
+    def test_mean_agrees_with_the_sampled_estimator(self, target):
+        # the plain side samples readings and data-flyover noise, so this is not circular
+        for policy in ("heuristic", "benchmark", "grid-oracle"):
+            cfg = ExperimentConfig(target=target, noise_var=1e-12, trials=20_000, seed=31)
+            conditional = estimate_mse(cfg, policy)
+            plain = estimate_mse(replace(cfg, estimator="plain"), policy)
+            assert conditional.trials_used == plain.trials_used
+            assert abs(conditional.mse - plain.mse) <= 4.0 * math.hypot(conditional.std_err, plain.std_err)
+            assert conditional.std_err < 0.2 * plain.std_err
+
+    @pytest.mark.parametrize("estimator", ESTIMATOR_NAMES)
+    def test_a_row_does_not_depend_on_its_batch(self, estimator, monkeypatch):
+        # every chunk size, down to one round alone, gives the same bits
+        for target, data_mean in (("config-1", 1.5), ("config-2", 1.5), ("config-3", 0.0)):
+            cfg = ExperimentConfig(
+                target=target, data_mean=data_mean, noise_var=1e-12, trials=40, seed=6,
+                estimator=estimator, policies=POLICY_NAMES,
+            )
+            tspec = build_target(target, cfg.n)
+            outcomes = []
+            for chunk_size in (evaluation._chunk_size, lambda n, k: 1, lambda n, k: 13):
+                monkeypatch.setattr(evaluation, "_chunk_size", chunk_size)
+                sqerr, accept, oracle, errors = evaluation._evaluate_cell(cfg, tspec, POLICY_NAMES)
+                assert errors == [None] * len(POLICY_NAMES)
+                outcomes.append((sqerr.tobytes(), accept.tobytes(), oracle.values.tobytes()))
+            assert outcomes[1:] == outcomes[:1] * 2, target
+            lone, _, _, _ = evaluation._evaluate_cell(replace(cfg, trials=1), tspec, ROUND_POLICIES)
+            rows = [POLICY_NAMES.index(p) for p in ROUND_POLICIES]
+            np.testing.assert_array_equal(lone[:, 0], sqerr[rows, 0])
+
+    def test_grid_values_are_the_exact_quadratic(self):
+        cfg = ExperimentConfig(target="config-3", data_mean=0.5, noise_var=1e-12, trials=30, seed=12)
+        oracle = grid_oracle(cfg)
+        cell, g, _ = self.rounds(cfg)
+        for b, value in zip(oracle.grid, oracle.values):
+            mean = np.mean([
+                mse_exact_conditional(cell.tspec, GainMatrix(gj.T), 0.5, 1.0, cfg.noise_var, b) for gj in g
+            ])
+            assert value == pytest.approx(mean, rel=1e-10)
+        best = int(np.argmin(oracle.values))
+        assert (oracle.beta, oracle.mse) == (oracle.grid[best], oracle.values[best])
+        assert oracle.values.size == cfg.resolution + 1
 
 
 class TestFixedDeployment:
