@@ -42,7 +42,7 @@ tspec = build_target("config-1", N)
 # 2. Pilot flyover: per-stop sums of gains, observed in receiver noise.
 # ---------------------------------------------------------------------------
 pilots = sampling_phase(gains, NOISE_VAR, seed=rng_seeds[1])
-true_sums = gains.g.sum(axis=0)
+true_sums = gains.g.sum(axis=1)
 print("pilot flyover (per stop):")
 for k in range(K):
     print(f"  stop {k}: true sum {true_sums[k]:.4e}  measured {pilots.alpha[k]:.4e}")

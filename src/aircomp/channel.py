@@ -41,14 +41,14 @@ class GainMatrix:
     """Per-link gains for one deployment and flight plan.
 
     Attributes:
-        g: ``(n, k)`` effective amplitudes ``sqrt(zeta_i * p) * g0**2 / d[i, k]**2``,
-            read-only.
+        g: ``(k, n)`` effective amplitudes ``sqrt(zeta_i * p) * g0**2 / d[k, i]**2``,
+            read-only; stop-major, so each stop's row of sensors is contiguous.
     """
 
     g: np.ndarray
 
     def __post_init__(self):
-        g = np.array(self.g, dtype=np.float64)
+        g = np.array(self.g, dtype=np.float64, order="C")  # rows contiguous, as the array steps sum them
         if g.ndim != 2:
             raise ValueError(f"g must be 2-d, got shape {g.shape}")
         if np.any(g <= 0.0):
@@ -58,18 +58,17 @@ class GainMatrix:
 
     @property
     def n(self) -> int:
-        return self.g.shape[0]
+        return self.g.shape[1]
 
     @property
     def k(self) -> int:
-        return self.g.shape[1]
+        return self.g.shape[0]
 
 
 def effective_gain_matrix(field: SensorField, traj: Trajectory, params: ChannelParams) -> GainMatrix:
     """Effective gains for every sensor/stop pair of a deployment."""
     d2 = squared_ranges(field.positions[:, 0], field.positions[:, 1], traj)
-    # the (k, n) quotient's transpose: GainMatrix keeps its layout, so .g.T is stop-major again
-    return GainMatrix(g=np.divide(gain_amplitude(field.reflection, params), d2, out=d2).T)
+    return GainMatrix(g=np.divide(gain_amplitude(field.reflection, params), d2, out=d2))
 
 
 def gain_amplitude(zeta, params: ChannelParams):

@@ -390,7 +390,7 @@ def mse_exact_conditional(
     beta_arr = _as_beta_array(beta, gains.k)
     noise = _noise_array(noise_vars, gains.k)
     moments = DataMoments.of(spec, data_mean, data_var)
-    return float(moments.mse(gains.g @ beta_arr, float(beta_arr**2 @ noise)))
+    return float(moments.mse(np.einsum("k,kn->n", beta_arr, gains.g), float(beta_arr**2 @ noise)))
 
 
 def mse_exact_marginal(

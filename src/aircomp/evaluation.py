@@ -67,7 +67,6 @@ from .protocol import (
 )
 from .rng import make_rng, spawn_seeds
 
-POLICY_NAMES = ("heuristic", "heuristic-equal", "optimal-equal", "benchmark", "grid-oracle", "zero")
 TARGET_NAMES = ("config-1", "config-2", "config-3")
 ESTIMATOR_NAMES = ("conditional", "plain")
 
@@ -335,7 +334,7 @@ class _Cell:
     @cached_property
     def fixed_gains(self) -> np.ndarray:
         """The seeded layout's gains, stop-major ``(k, n)``."""
-        return effective_gain_matrix(fixed_deployment(self.config), self.traj, self.params).g.T
+        return effective_gain_matrix(fixed_deployment(self.config), self.traj, self.params).g
 
     def gains(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Effective gains ``(size, k, n)`` of the next ``size`` rounds' deployments.
@@ -414,6 +413,7 @@ _POLICIES = {
     "grid-oracle": lambda cell: _Rule(None),
     "zero": lambda cell: _constant(0.0),
 }
+POLICY_NAMES = tuple(_POLICIES)
 
 
 def _resolve(policy, cell: _Cell) -> _Rule:
@@ -584,6 +584,15 @@ def _evaluate_cell(config: ExperimentConfig, tspec: TargetSpec, policies):
     return sqerr, accept, oracle, errors
 
 
+def _evaluate_target(config: ExperimentConfig, policies):
+    """:func:`_evaluate_cell` on the config's own target, raising the first policy failure."""
+    sqerr, accept, oracle, errors = _evaluate_cell(config, build_target(config.target, config.n), policies)
+    for error in errors:
+        if error is not None:
+            raise error
+    return sqerr, accept, oracle
+
+
 def _summarize(sqerr: np.ndarray, accept: np.ndarray, policy) -> PolicyEstimate:
     used = int(accept.sum())
     rejected = accept.size - used
@@ -643,10 +652,7 @@ def estimate_mse(config: ExperimentConfig, policy) -> PolicyEstimate:
     excluded and counted for pilot-using policies.  Raises
     :class:`EstimationError` if nothing survives.
     """
-    tspec = build_target(config.target, config.n)
-    sqerr, accept, _, errors = _evaluate_cell(config, tspec, [policy])
-    if errors[0] is not None:
-        raise errors[0]
+    sqerr, accept, _ = _evaluate_target(config, [policy])
     return _summarize(sqerr[0], accept[0], policy)
 
 
@@ -656,11 +662,7 @@ def compare_policies(config: ExperimentConfig, policy_a, policy_b) -> GapEstimat
     Only trials accepted by both policies enter, and the standard error
     accounts for the covariance the shared randomness induces.
     """
-    tspec = build_target(config.target, config.n)
-    sqerr, accept, _, errors = _evaluate_cell(config, tspec, [policy_a, policy_b])
-    for error in errors:
-        if error is not None:
-            raise error
+    sqerr, accept, _ = _evaluate_target(config, [policy_a, policy_b])
     joint = accept[0] & accept[1]
     used = int(joint.sum())
     if used < 2:
@@ -691,7 +693,9 @@ def sweep(config: ExperimentConfig, axis: str, values, targets=None) -> Experime
         axis: ``"k"`` (stop count) or ``"n"`` (sensor count).
         values: strictly ascending positive integers for the axis.
         targets: target selectors (defaults to ``[config.target]``); a
-            name given twice raises ``ValueError``.
+            name given twice raises ``ValueError``.  Rows carry a named
+            target's name, and a :class:`TargetSpec` at 1-based position
+            ``i`` of ``targets`` as ``custom-<i>``.
 
     A failure is recorded instead of aborting the sweep: each row it
     reaches gets NaN statistics, zero trials and the exception in
@@ -713,8 +717,8 @@ def sweep(config: ExperimentConfig, axis: str, values, targets=None) -> Experime
     rows: list[SweepRow] = []
     for value in vals:
         cell_cfg = replace(config, **{axis: value})
-        for target in targets:
-            label = target if isinstance(target, str) else "custom"
+        for position, target in enumerate(targets, 1):
+            label = target if isinstance(target, str) else f"custom-{position}"
             try:
                 tspec = build_target(target, cell_cfg.n)
                 reference = target_second_moment(tspec, cell_cfg.data_mean, cell_cfg.data_var)
@@ -753,8 +757,4 @@ def grid_oracle(
     """
     grid = {"resolution": resolution, "span": span}
     config = replace(config, **{key: value for key, value in grid.items() if value is not None})
-    tspec = build_target(config.target, config.n)
-    _, _, result, errors = _evaluate_cell(config, tspec, ["grid-oracle"])
-    if errors[0] is not None:
-        raise errors[0]
-    return result
+    return _evaluate_target(config, ["grid-oracle"])[2]

@@ -164,8 +164,8 @@ def plan_diameter_trajectory(k: int, r_cov: float, h: float) -> Trajectory:
 
 
 def distance_matrix(field: SensorField, traj: Trajectory) -> np.ndarray:
-    """All slant ranges as an ``(n, k)`` matrix."""
-    return np.sqrt(squared_ranges(field.positions[:, 0], field.positions[:, 1], traj)).T
+    """All slant ranges as a ``(k, n)`` matrix, one row of sensors per stop."""
+    return np.sqrt(squared_ranges(field.positions[:, 0], field.positions[:, 1], traj))
 
 
 def squared_ranges(x, y, traj: Trajectory, out=None) -> np.ndarray:

@@ -24,17 +24,13 @@ class SumGainSamples:
     """Pilot-flyover measurements: per-stop sum of effective gains plus noise."""
 
     alpha: np.ndarray
-    noise_var: float
 
     def __post_init__(self):
         alpha = np.asarray(self.alpha, dtype=np.float64).copy()
         if alpha.ndim != 1 or alpha.size == 0:
             raise ValueError("alpha must be a non-empty 1-d array")
-        if not self.noise_var >= 0.0:
-            raise ValueError(f"noise_var must be non-negative, got {self.noise_var}")
         alpha.setflags(write=False)
         object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "noise_var", float(self.noise_var))
 
     @property
     def k(self) -> int:
@@ -46,17 +42,13 @@ class AggregateSamples:
     """Data-flyover measurements: per-stop gain-weighted data sums plus noise."""
 
     dbar: np.ndarray
-    noise_var: float
 
     def __post_init__(self):
         dbar = np.asarray(self.dbar, dtype=np.float64).copy()
         if dbar.ndim != 1 or dbar.size == 0:
             raise ValueError("dbar must be a non-empty 1-d array")
-        if not self.noise_var >= 0.0:
-            raise ValueError(f"noise_var must be non-negative, got {self.noise_var}")
         dbar.setflags(write=False)
         object.__setattr__(self, "dbar", dbar)
-        object.__setattr__(self, "noise_var", float(self.noise_var))
 
     @property
     def k(self) -> int:
@@ -89,16 +81,16 @@ class BetaVector:
 
 
 def sampling_phase(gains: GainMatrix, noise_var: float, seed=None) -> SumGainSamples:
-    """Pilot flyover: column sums of the gain matrix plus Gaussian noise.
+    """Pilot flyover: per-stop row sums of the gain matrix plus Gaussian noise.
 
     Args:
         gains: per-link gains for the deployment under flight.
-        noise_var: receiver noise variance; 0 gives exact column sums.
+        noise_var: receiver noise variance; 0 gives exact row sums.
         seed: int or SeedSequence for the noise stream.
     """
     if not noise_var >= 0.0:
         raise ValueError(f"noise_var must be non-negative, got {noise_var}")
-    return SumGainSamples(alpha=pilot_sums(gains.g.T, noise_var, seed), noise_var=noise_var)
+    return SumGainSamples(alpha=pilot_sums(gains.g, noise_var, seed))
 
 
 def computation_phase(gains: GainMatrix, data, noise_var: float, seed=None) -> AggregateSamples:
@@ -112,7 +104,7 @@ def computation_phase(gains: GainMatrix, data, noise_var: float, seed=None) -> A
         raise ValueError(f"data must have shape ({gains.n},), got {data.shape}")
     if not noise_var >= 0.0:
         raise ValueError(f"noise_var must be non-negative, got {noise_var}")
-    return AggregateSamples(dbar=stop_aggregates(gains.g.T, data, noise_var, seed), noise_var=noise_var)
+    return AggregateSamples(dbar=stop_aggregates(gains.g, data, noise_var, seed))
 
 
 def estimate(samples: AggregateSamples, beta) -> float:
@@ -140,8 +132,8 @@ def draw_sensor_data(field: SensorField, seed=None) -> np.ndarray:
 # Array forms of the protocol steps.  Leading axes index rounds, so the
 # Monte Carlo engine runs a batch of rounds through the same arithmetic
 # as one round through the functions above.  Gains are stop-major,
-# ``(..., k, n)``: each stop's sum over sensors runs along a contiguous
-# row, which the one-round functions pass as ``gains.g.T``.
+# ``(..., k, n)``, as in :class:`~aircomp.channel.GainMatrix`: each
+# stop's sum over sensors runs along a contiguous row.
 
 
 def pilot_sums(g, noise_var: float, seed=None) -> np.ndarray:

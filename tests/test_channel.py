@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from aircomp import (
     ChannelParams,
+    GainMatrix,
     SensorField,
     Trajectory,
     deploy_sensors,
@@ -44,19 +45,20 @@ class TestEffectiveGainMatrix:
         field = deploy_sensors(20, 10.0, seed=1)
         traj = plan_diameter_trajectory(5, 10.0, 50.0)
         gains = effective_gain_matrix(field, traj, ChannelParams())
-        assert gains.g.shape == (20, 5)
+        assert gains.g.shape == (5, 20)
         assert np.all(gains.g > 0)
         assert gains.n == 20 and gains.k == 5
 
     def test_column_sums_bounded_by_geometry(self):
-        # every column sum lies between n*g_min and n*g_max from the distance bound
+        # every stop's sum over sensors lies between n*g_min and n*g_max from the distance bound
         field = deploy_sensors(20, 10.0, seed=1)
         traj = plan_diameter_trajectory(5, 10.0, 50.0)
         gains = effective_gain_matrix(field, traj, ChannelParams())
         amp = math.sqrt(0.99)
         g_max = amp * 0.0275**2 / 50.0**2
         g_min = amp * 0.0275**2 / (50.0**2 + 20.0**2)
-        sums = gains.g.sum(axis=0)
+        sums = gains.g.sum(axis=1)
+        assert sums.shape == (5,)
         assert np.all(sums <= 20 * g_max)
         assert np.all(sums >= 20 * g_min)
 
@@ -67,7 +69,7 @@ class TestEffectiveGainMatrix:
         traj = Trajectory(50.0, np.array([[0.0, 0.0]]))
         gains = effective_gain_matrix(field, traj, ChannelParams())
         # same position, reflection 0.25 halves the amplitude gain
-        assert gains.g[1, 0] == pytest.approx(0.5 * gains.g[0, 0], rel=1e-12)
+        assert gains.g[0, 1] == pytest.approx(0.5 * gains.g[0, 0], rel=1e-12)
 
     def test_gain_matrix_read_only(self):
         field = deploy_sensors(3, 10.0, seed=1)
@@ -75,6 +77,15 @@ class TestEffectiveGainMatrix:
         gains = effective_gain_matrix(field, traj, ChannelParams())
         with pytest.raises(ValueError):
             gains.g[0, 0] = 1.0
+
+    def test_gain_matrix_stores_rows_contiguous(self):
+        # a stop's sum over sensors rounds by memory order, so any input order is stored row-major
+        field = deploy_sensors(2000, 10.0, seed=1)
+        traj = plan_diameter_trajectory(5, 10.0, 50.0)
+        g = effective_gain_matrix(field, traj, ChannelParams()).g
+        fortran = GainMatrix(np.asfortranarray(g))
+        assert fortran.g.flags["C_CONTIGUOUS"]
+        assert np.array_equal(fortran.g.sum(axis=1), g.sum(axis=1))
 
 
 class TestReceivedPowers:

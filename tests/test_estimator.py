@@ -480,9 +480,7 @@ class TestPilotCoefficientRules:
         spec = TargetSpec(weights=np.ones(n), exponents=np.ones(n, dtype=int))
         alpha = np.array([5e-6, 6e-6, 7e-6])
         from_array = beta_heuristic(alpha, spec, 0.0, 1.0, 1e-10, n)
-        from_wrapper = beta_heuristic(
-            SumGainSamples(alpha, 1e-10), spec, 0.0, 1.0, 1e-10, n
-        )
+        from_wrapper = beta_heuristic(SumGainSamples(alpha), spec, 0.0, 1.0, 1e-10, n)
         assert_allclose(from_array.beta, from_wrapper.beta, rtol=1e-15)
 
     def test_batch_rows_match_single_rounds(self):
@@ -575,7 +573,7 @@ class TestExactMse:
         stats = GainStatistics(
             mean_g=mean_g, var_g=np.zeros(k), second_moment=np.outer(mean_g, mean_g)
         )
-        gains = GainMatrix(g=np.tile(mean_g, (n, 1)))
+        gains = GainMatrix(g=np.tile(mean_g[:, None], (1, n)))
         beta = np.array([1e6, 2e6, 1.5e6])
         marginal = mse_exact_marginal(spec, stats, 0.3, 1.1, 1e-13, beta)
         conditional = mse_exact_conditional(spec, gains, 0.3, 1.1, 1e-13, beta)
@@ -637,7 +635,7 @@ class TestExactMse:
 
     def test_sensor_count_mismatch_raises(self):
         spec = TargetSpec(weights=np.ones(2), exponents=np.ones(2, dtype=int))
-        gains = GainMatrix(g=np.full((3, 1), 1e-7))
+        gains = GainMatrix(g=np.full((1, 3), 1e-7))
         with pytest.raises(ValueError):
             mse_exact_conditional(spec, gains, 0.0, 1.0, 0.0, np.array([1.0]))
 

@@ -445,7 +445,7 @@ class TestConditionalEstimator:
             for j in np.flatnonzero(accept[i]):
                 beta = self.coefficients(cell, policy, alpha[j])
                 exact = mse_exact_conditional(
-                    cell.tspec, GainMatrix(g[j].T), data_mean, data_var, cfg.noise_var, beta
+                    cell.tspec, GainMatrix(g[j]), data_mean, data_var, cfg.noise_var, beta
                 )
                 assert sqerr[i, j] == pytest.approx(exact, rel=1e-12, abs=1e-300), (i, j)
                 checked += 1
@@ -497,7 +497,7 @@ class TestConditionalEstimator:
         cell, g, _ = self.rounds(cfg)
         for b, value in zip(oracle.grid, oracle.values):
             mean = np.mean([
-                mse_exact_conditional(cell.tspec, GainMatrix(gj.T), 0.5, 1.0, cfg.noise_var, b) for gj in g
+                mse_exact_conditional(cell.tspec, GainMatrix(gj), 0.5, 1.0, cfg.noise_var, b) for gj in g
             ])
             assert value == pytest.approx(mean, rel=1e-10)
         best = int(np.argmin(oracle.values))
@@ -615,6 +615,18 @@ class TestSweep:
         cfg = ExperimentConfig(trials=10, noise_var=1e-12, policies=("zero",))
         with pytest.raises(ValueError, match="given twice"):
             sweep(cfg, "k", [2], targets=["config-1", "config-3", "config-1"])
+
+    def test_custom_targets_labelled_by_position(self):
+        # a TargetSpec at 1-based position i of targets is "custom-<i>", and its rows are
+        # those of a sweep of that spec alone
+        cfg = ExperimentConfig(trials=200, noise_var=1e-12, policies=("benchmark", "heuristic"), seed=2)
+        spec_a = TargetSpec(np.ones(cfg.n), np.full(cfg.n, 2))
+        spec_b = TargetSpec(np.arange(1.0, cfg.n + 1.0), np.ones(cfg.n, dtype=int))
+        rows = sweep(cfg, "k", [5], targets=[spec_a, spec_b]).rows
+        assert [r.target for r in rows] == ["custom-1", "custom-1", "custom-2", "custom-2"]
+        for label, spec in (("custom-1", spec_a), ("custom-2", spec_b)):
+            alone = sweep(cfg, "k", [5], targets=[spec]).rows
+            assert [replace(r, target=label) for r in alone] == [r for r in rows if r.target == label]
 
     def test_failing_cell_becomes_nan_rows(self):
         # Zero data variance with zero mean gives a zero dB reference,

@@ -130,12 +130,12 @@ class TestDistances:
         field = deploy_sensors(6, 10.0, seed=2)
         traj = plan_diameter_trajectory(4, 10.0, 50.0)
         mat = distance_matrix(field, traj)
-        assert mat.shape == (6, 4)
+        assert mat.shape == (4, 6)
         for i in range(6):
             for k in range(4):
                 dx, dy = field.positions[i] - traj.stops[k]
                 expected = math.sqrt(50.0**2 + dx * dx + dy * dy)
-                assert mat[i, k] == pytest.approx(expected, rel=1e-12)
+                assert mat[k, i] == pytest.approx(expected, rel=1e-12)
 
     def test_off_axis_stops(self):
         # Stops off the x axis take the per-stop (y - sy)**2 term; the
@@ -143,11 +143,11 @@ class TestDistances:
         field = deploy_sensors(6, 10.0, seed=2)
         traj = Trajectory(50.0, np.array([[5.0, 3.0], [-2.0, -4.0]]))
         mat = distance_matrix(field, traj)
-        assert mat.shape == (6, 2)
+        assert mat.shape == (2, 6)
         for i in range(6):
             for k in range(2):
                 dx, dy = field.positions[i] - traj.stops[k]
-                assert mat[i, k] == math.sqrt(dx * dx + 50.0**2 + dy * dy)
+                assert mat[k, i] == math.sqrt(dx * dx + 50.0**2 + dy * dy)
 
     def test_bound_formula(self):
         assert max_distance_bound(10.0, 50.0) == pytest.approx(

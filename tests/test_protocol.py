@@ -20,6 +20,8 @@ from aircomp import (
     plan_diameter_trajectory,
     sampling_phase,
 )
+from aircomp.geometry import distance_matrix, squared_ranges
+from aircomp.protocol import pilot_sums, stop_aggregates
 
 
 def small_setup(n=20, k=5, seed=1):
@@ -33,8 +35,7 @@ class TestSamplingPhase:
     def test_noise_free_equals_column_sums(self):
         _, _, gains = small_setup()
         pilots = sampling_phase(gains, 0.0)
-        assert_allclose(pilots.alpha, gains.g.sum(axis=0), rtol=1e-15)
-        assert pilots.noise_var == 0.0
+        assert_allclose(pilots.alpha, gains.g.sum(axis=1), rtol=1e-15)
         assert pilots.k == 5
 
     def test_two_sensors_at_center(self):
@@ -47,7 +48,7 @@ class TestSamplingPhase:
     def test_noise_statistics(self):
         _, _, gains = small_setup()
         noise_var = 1e-12
-        base = gains.g.sum(axis=0)
+        base = gains.g.sum(axis=1)
         trials = 10_000
         acc = np.zeros(5)
         for s in range(trials):
@@ -94,7 +95,7 @@ class TestComputationPhase:
         a = np.empty(trials)
         b = np.empty(trials)
         data = np.zeros(5)
-        base = gains.g.sum(axis=0)[0]
+        base = gains.g.sum(axis=1)[0]
         for s in range(trials):
             a[s] = sampling_phase(gains, 1e-10, seed=(s, 0)).alpha[0] - base
             b[s] = computation_phase(gains, data, 1e-10, seed=(s, 1)).dbar[0]
@@ -105,6 +106,21 @@ class TestComputationPhase:
         _, _, gains = small_setup()
         with pytest.raises(ValueError):
             computation_phase(gains, np.ones(7), 0.0)
+
+
+class TestStopMajorLayout:
+    def test_one_round_api_is_the_array_steps(self):
+        # GainMatrix.g and distance_matrix are stop-major (k, n), the array steps' own layout,
+        # so a phase on a GainMatrix is its array step on .g with no transpose between them
+        field, traj, gains = small_setup(n=7, k=3, seed=4)
+        assert gains.g.shape == (3, 7)
+        pilots = sampling_phase(gains, 1e-12, seed=5)
+        assert np.array_equal(pilots.alpha, pilot_sums(gains.g, 1e-12, seed=5))
+        data = draw_sensor_data(field, seed=6)
+        aggregates = computation_phase(gains, data, 1e-12, seed=7)
+        assert np.array_equal(aggregates.dbar, stop_aggregates(gains.g, data, 1e-12, seed=7))
+        x, y = field.positions[:, 0], field.positions[:, 1]
+        assert np.array_equal(distance_matrix(field, traj), np.sqrt(squared_ranges(x, y, traj)))
 
 
 class TestBetaVector:
@@ -119,13 +135,13 @@ class TestBetaVector:
 
 class TestEstimate:
     def test_linear_combination(self):
-        samples = AggregateSamples(np.array([1.0, 2.0, 3.0]), 0.0)
+        samples = AggregateSamples(np.array([1.0, 2.0, 3.0]))
         beta = BetaVector(np.array([1.0, 0.5, 2.0]))
         assert estimate(samples, beta) == pytest.approx(8.0)
         assert estimate(samples, 2.0) == pytest.approx(12.0)  # one equal coefficient
 
     def test_length_mismatch(self):
-        samples = AggregateSamples(np.array([1.0, 2.0]), 0.0)
+        samples = AggregateSamples(np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
             estimate(samples, BetaVector(np.array([1.0])))
 
