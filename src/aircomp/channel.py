@@ -51,7 +51,7 @@ class GainMatrix:
         g = np.array(self.g, dtype=np.float64, order="C")  # rows contiguous, as the array steps sum them
         if g.ndim != 2:
             raise ValueError(f"g must be 2-d, got shape {g.shape}")
-        if np.any(g <= 0.0):
+        if not (g > 0.0).all():
             raise ValueError("gains must be positive")
         g.setflags(write=False)
         object.__setattr__(self, "g", g)

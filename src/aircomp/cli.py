@@ -59,7 +59,6 @@ from .evaluation import (
     to_db,
 )
 from .geometry import deploy_sensors, distance_matrix, max_distance_bound, plan_diameter_trajectory
-from .nomographic import target_second_moment
 
 __all__ = ["main", "ConfigError", "RunManifest", "parse_config_text", "render_manifest"]
 
@@ -445,7 +444,7 @@ def _run_validate() -> bool:
         traj = plan_diameter_trajectory(cfg.k, cfg.r_cov, cfg.h)
         stats = gain_statistics(traj, cfg.r_cov, params, cfg.zeta)
         breakdown = mse_model(tspec, stats, cfg.data_mean, cfg.data_var, cfg.noise_var, 0.0)
-        ref = target_second_moment(tspec, cfg.data_mean, cfg.data_var)
+        ref = target_reference(cfg, tspec)
         if abs(breakdown.mse - ref) > 1e-12 * ref:
             raise AssertionError(f"{breakdown.mse} vs {ref}")
 

@@ -27,7 +27,6 @@ accurate at low altitude where the gain under a stop is a narrow spike.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -35,14 +34,7 @@ import numpy as np
 
 from .channel import ChannelParams, GainMatrix, gain_amplitude
 from .geometry import Trajectory
-from .nomographic import (
-    TargetSpec,
-    _per_sensor,
-    gaussian_power_variance,
-    gaussian_raw_moment,
-    target_mean,
-    target_sum_cross_moment,
-)
+from .nomographic import DataMoments, TargetSpec, gaussian_power_variance
 from .protocol import BetaVector, SumGainSamples
 
 
@@ -76,7 +68,7 @@ class GainStatistics:
         k = mean.size
         if mean.ndim != 1 or var.shape != (k,) or m2.shape != (k, k):
             raise ValueError("inconsistent statistics shapes")
-        if np.any(mean <= 0.0) or np.any(var < 0.0):
+        if not ((mean > 0.0).all() and (var >= 0.0).all()):
             raise ValueError("mean gains must be positive, variances non-negative")
         for name, arr in (("mean_g", mean), ("var_g", var), ("second_moment", m2)):
             arr.setflags(write=False)
@@ -235,7 +227,7 @@ def _as_beta_array(beta, k: int) -> np.ndarray:
 def _noise_array(noise_vars, k: int) -> np.ndarray:
     arr = np.asarray(noise_vars, dtype=np.float64)
     arr = np.broadcast_to(arr, (k,)).astype(np.float64)
-    if np.any(arr < 0.0):
+    if not (arr >= 0.0).all():
         raise ValueError("noise variances must be non-negative")
     return arr
 
@@ -265,13 +257,14 @@ def mse_model(
     k = stats.k
     beta_arr = _as_beta_array(beta, k)
     noise = _noise_array(noise_vars, k)
-    mu, var = _per_sensor(spec, data_mean, data_var)
-    w, v = spec.weights, spec.exponents
+    moments = DataMoments.of(spec, data_mean, data_var)
+    mu, var = moments.mu, moments.var
 
     sum_var = float(var.sum())
     sum_var_mu2 = float((var + mu**2).sum())
-    cross = target_sum_cross_moment(spec, mu, var)
-    constant_c = float(np.sum(w * gaussian_power_variance(mu, var, v))) + target_mean(spec, mu, var) ** 2
+    cross = moments.cross
+    penalty = float(np.sum(spec.weights * gaussian_power_variance(mu, var, spec.exponents)))
+    constant_c = penalty + moments.target_mean**2
 
     dot = float(beta_arr @ stats.mean_g)
     b2v = float(beta_arr**2 @ stats.var_g)
@@ -302,78 +295,6 @@ def beta_equal_optimal(
     if not breakdown.quadratic_a > 0.0:
         raise ValueError("degenerate model: quadratic coefficient is not positive")
     return breakdown.linear_b / breakdown.quadratic_a
-
-
-@dataclass(frozen=True)
-class DataMoments:
-    """The data moments of the exact error, for one target and data law.
-
-    With ``T_i`` the total combined gain applied to sensor ``i``, the
-    error is ``sum_i (T_i d_i - w_i d_i**v_i)`` plus the combined noise,
-    and with sensors independent its mean square given ``T`` is
-
-    ``sum_i var_i (T_i - tau_i)**2 + residual + (T . mu - target_mean)**2 + noise``.
-
-    ``tau_i = w_i v_i E[d_i**(v_i-1)]`` is the gain that best matches the
-    target term linearly, ``Cov(d, d**v) = var v E[d**(v-1)]`` (Stein's
-    lemma), and ``residual`` is what no gain reaches, the rest of
-    ``sum_i w_i**2 Var(d_i**v_i)``: its Hermite terms
-    ``var**j / j! * (v! / (v-j)! * E[d**(v-j)])**2`` for ``j >= 2``.  Every
-    term is non-negative, so the value never drops below zero by
-    rounding, and ``data_var = 0`` needs no special case.
-    """
-
-    mu: np.ndarray  # (n,) data means
-    var: np.ndarray  # (n,) data variances
-    tau: np.ndarray  # (n,) best linear gains
-    target_mean: float
-    residual: float
-
-    @classmethod
-    def of(cls, spec: TargetSpec, data_mean, data_var) -> "DataMoments":
-        mu, var = _per_sensor(spec, data_mean, data_var)
-        w, v = spec.weights, spec.exponents
-        target_mean = float(np.sum(w * gaussian_raw_moment(mu, var, v)))
-        tau = w * v * gaussian_raw_moment(mu, var, v - 1)
-        residual = 0.0
-        falling = v.astype(np.float64)  # v! / (v-j)!, zero once j > v
-        for j in range(2, int(v.max()) + 1):
-            falling = falling * np.maximum(v - j + 1, 0)
-            coef = falling * gaussian_raw_moment(mu, var, np.maximum(v - j, 0))
-            residual += float(np.sum(w**2 * var**j * coef**2)) / math.factorial(j)
-        return cls(mu=np.array(mu), var=np.array(var), tau=tau, target_mean=target_mean, residual=residual)
-
-    @property
-    def target_second_moment(self) -> float:
-        """``E[target**2]``: the error of the zero estimate."""
-        return float(self.var @ self.tau**2) + self.residual + self.target_mean**2
-
-    def mse(self, t, noise_term):
-        """Exact MSE given total gains ``t`` ``(..., n)``, one value per leading index.
-
-        ``noise_term`` is ``sum_k beta_k**2 nv_k``, a scalar or ``(...)``.
-        ``t`` is overwritten.
-        """
-        offset = np.einsum("...n,n->...", t, self.mu) - self.target_mean
-        t -= self.tau
-        t *= t
-        out = np.einsum("...n,n->...", t, self.var)
-        out += offset * offset + self.residual + noise_term
-        return out
-
-    def equal_quadratic(self, g_sum, noise_total: float):
-        """Per-round ``(A, B)`` of the exact MSE ``A b**2 - 2 B b + C`` under one equal coefficient ``b``.
-
-        ``g_sum`` ``(..., n)`` holds each sensor's gains summed over stops,
-        so ``T = b * g_sum``; ``noise_total`` is ``sum_k nv_k``, and ``C``
-        is :attr:`target_second_moment`.
-        """
-        dot_mu = np.einsum("...n,n->...", g_sum, self.mu)
-        quad = np.einsum("...n,...n,n->...", g_sum, g_sum, self.var)
-        quad += dot_mu * dot_mu + noise_total
-        lin = np.einsum("...n,n->...", g_sum, self.var * self.tau)
-        lin += self.target_mean * dot_mu
-        return quad, lin
 
 
 def mse_exact_conditional(
@@ -434,8 +355,8 @@ def _pilot_inputs(alphas, spec: TargetSpec, data_mean, data_var, n_sensors: int)
         raise SamplingRejectedError("non-positive pilot measurement; re-sample the round")
     if n_sensors < 1:
         raise ValueError(f"n_sensors must be >= 1, got {n_sensors}")
-    mu, var = _per_sensor(spec, data_mean, data_var)
-    return alpha, target_sum_cross_moment(spec, mu, var), float(var.sum())
+    moments = DataMoments.of(spec, data_mean, data_var)
+    return alpha, moments.cross, float(moments.var.sum())
 
 
 def beta_heuristic(

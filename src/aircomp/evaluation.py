@@ -22,7 +22,7 @@ The ``estimator`` of a configuration sets what a trial records.
 ``"plain"`` records the squared error of the realized round.
 ``"conditional"``, the default, draws only positions and pilot noise and
 records the exact mean square error given them (see
-:class:`~aircomp.estimator.DataMoments`): readings and data-flyover
+:class:`~aircomp.nomographic.DataMoments`): readings and data-flyover
 noise are integrated in closed form, so the per-trial variance is far
 smaller while the mean is the same.  Acceptance depends on the pilot
 only, so both estimators accept the same trials.  :func:`run_trial` on
@@ -43,7 +43,6 @@ import numpy as np
 
 from .channel import ChannelParams, effective_gain_matrix, gain_amplitude
 from .estimator import (
-    DataMoments,
     beta_benchmark,
     beta_equal_optimal,
     beta_grid_oracle,
@@ -53,7 +52,7 @@ from .estimator import (
     pilot_accepted,
 )
 from .geometry import SensorField, deploy_sensors, plan_diameter_trajectory, scatter_on_disk, squared_ranges
-from .nomographic import TargetSpec, target_second_moment, target_value, target_values
+from .nomographic import DataMoments, TargetSpec, target_second_moment, target_value, target_values
 from .protocol import (
     BetaVector,
     combine,
@@ -721,7 +720,7 @@ def sweep(config: ExperimentConfig, axis: str, values, targets=None) -> Experime
             label = target if isinstance(target, str) else f"custom-{position}"
             try:
                 tspec = build_target(target, cell_cfg.n)
-                reference = target_second_moment(tspec, cell_cfg.data_mean, cell_cfg.data_var)
+                reference = target_reference(cell_cfg, tspec)
                 sqerr, accept, _, errors = _evaluate_cell(cell_cfg, tspec, config.policies)
             except _FAILURES as exc:  # the whole cell failed
                 errors = [exc] * len(config.policies)

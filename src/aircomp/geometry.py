@@ -49,9 +49,9 @@ class SensorField:
         for name in ("reflection", "data_mean", "data_var"):
             arr = np.broadcast_to(np.asarray(getattr(self, name), dtype=np.float64), (n,))
             fields[name] = _frozen_array(arr, name)
-        if np.any(fields["reflection"] <= 0.0) or np.any(fields["reflection"] > 1.0):
+        if not ((fields["reflection"] > 0.0) & (fields["reflection"] <= 1.0)).all():
             raise ValueError("reflection coefficients must lie in (0, 1]")
-        if np.any(fields["data_var"] < 0.0):
+        if not (fields["data_var"] >= 0.0).all():
             raise ValueError("data_var must be non-negative")
         object.__setattr__(self, "positions", pos)
         for name, arr in fields.items():

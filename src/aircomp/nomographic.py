@@ -4,11 +4,14 @@ The network computes targets of the form ``sum_i w_i * d_i**v_i`` for
 positive weights and integer exponents.  Closed-form design of the
 combining coefficients needs raw moments ``E[d**v]`` of the Gaussian
 data sources, obtained here by the stable two-term recursion
-``m_v = mu * m_{v-1} + (v - 1) * var * m_{v-2}``.
+``m_v = mu * m_{v-1} + (v - 1) * var * m_{v-2}``.  :class:`DataMoments`
+derives from them the target mean, ``E[target**2]``, the sum-target
+cross moment and the exact error given each sensor's total gain.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +36,7 @@ class TargetSpec:
             raise ValueError("weights must be a non-empty 1-d array")
         if v.shape != w.shape:
             raise ValueError(f"exponents shape {v.shape} must match weights shape {w.shape}")
-        if np.any(w <= 0.0):
+        if not (w > 0.0).all():
             raise ValueError("weights must be positive")
         if not np.all(v == np.floor(v)) or np.any(v < 1):
             raise ValueError("exponents must be integers >= 1")
@@ -99,7 +102,7 @@ def gaussian_raw_moment(mu, var, v):
     """
     mu_arr = np.asarray(mu, dtype=np.float64)
     var_arr = np.asarray(var, dtype=np.float64)
-    if np.any(var_arr < 0.0):
+    if not (var_arr >= 0.0).all():
         raise ValueError("var must be non-negative")
     v_arr = np.asarray(v)
     if not np.all(v_arr == np.floor(v_arr)) or np.any(v_arr < 0):
@@ -134,10 +137,90 @@ def gaussian_power_variance(mu, var, v):
     return out
 
 
+@dataclass(frozen=True)
+class DataMoments:
+    """The data moments of the exact error, for one target and data law.
+
+    With ``T_i`` the total combined gain applied to sensor ``i``, the
+    error is ``sum_i (T_i d_i - w_i d_i**v_i)`` plus the combined noise,
+    and with sensors independent its mean square given ``T`` is
+
+    ``sum_i var_i (T_i - tau_i)**2 + residual + (T . mu - target_mean)**2 + noise``.
+
+    ``tau_i = w_i v_i E[d_i**(v_i-1)]`` is the gain that best matches the
+    target term linearly, ``Cov(d, d**v) = var v E[d**(v-1)]`` (Stein's
+    lemma), and ``residual`` is what no gain reaches, the rest of
+    ``sum_i w_i**2 Var(d_i**v_i)``: its Hermite terms
+    ``var**j / j! * (v! / (v-j)! * E[d**(v-j)])**2`` for ``j >= 2``.  Every
+    term is non-negative, so the value never drops below zero by
+    rounding, and ``data_var = 0`` needs no special case.
+    """
+
+    mu: np.ndarray  # (n,) data means
+    var: np.ndarray  # (n,) data variances
+    tau: np.ndarray  # (n,) best linear gains
+    target_mean: float
+    residual: float
+
+    @classmethod
+    def of(cls, spec: TargetSpec, data_mean, data_var) -> "DataMoments":
+        mu, var = _per_sensor(spec, data_mean, data_var)
+        w, v = spec.weights, spec.exponents
+        m_prev, m_v = gaussian_raw_moment(mu, var, np.stack((v - 1, v)))
+        target_mean = float(np.sum(w * m_v))
+        tau = w * v * m_prev
+        residual = 0.0
+        falling = v.astype(np.float64)  # v! / (v-j)!, zero once j > v
+        for j in range(2, int(v.max()) + 1):
+            falling = falling * np.maximum(v - j + 1, 0)
+            coef = falling * gaussian_raw_moment(mu, var, np.maximum(v - j, 0))
+            residual += float(np.sum(w**2 * var**j * coef**2)) / math.factorial(j)
+        return cls(mu=np.array(mu), var=np.array(var), tau=tau, target_mean=target_mean, residual=residual)
+
+    @property
+    def target_second_moment(self) -> float:
+        """``E[target**2]``: the error of the zero estimate, and the dB reference."""
+        return float(self.var @ self.tau**2) + self.residual + self.target_mean**2
+
+    @property
+    def cross(self) -> float:
+        """``E[(sum_i d_i) * target]``, the correlation term every coefficient rule shares.
+
+        Only sensor ``i``'s own term covaries with ``d_i``, by ``var_i tau_i``.
+        """
+        return float(self.var @ self.tau) + float(self.mu.sum()) * self.target_mean
+
+    def mse(self, t, noise_term):
+        """Exact MSE given total gains ``t`` ``(..., n)``, one value per leading index.
+
+        ``noise_term`` is ``sum_k beta_k**2 nv_k``, a scalar or ``(...)``.
+        ``t`` is overwritten.
+        """
+        offset = np.einsum("...n,n->...", t, self.mu) - self.target_mean
+        t -= self.tau
+        t *= t
+        out = np.einsum("...n,n->...", t, self.var)
+        out += offset * offset + self.residual + noise_term
+        return out
+
+    def equal_quadratic(self, g_sum, noise_total: float):
+        """Per-round ``(A, B)`` of the exact MSE ``A b**2 - 2 B b + C`` under one equal coefficient ``b``.
+
+        ``g_sum`` ``(..., n)`` holds each sensor's gains summed over stops,
+        so ``T = b * g_sum``; ``noise_total`` is ``sum_k nv_k``, and ``C``
+        is :attr:`target_second_moment`.
+        """
+        dot_mu = np.einsum("...n,n->...", g_sum, self.mu)
+        quad = np.einsum("...n,...n,n->...", g_sum, g_sum, self.var)
+        quad += dot_mu * dot_mu + noise_total
+        lin = np.einsum("...n,n->...", g_sum, self.var * self.tau)
+        lin += self.target_mean * dot_mu
+        return quad, lin
+
+
 def target_mean(spec: TargetSpec, data_mean, data_var) -> float:
     """``E[sum w_i d_i**v_i]`` for independent Gaussian sensors."""
-    mu, var = _per_sensor(spec, data_mean, data_var)
-    return float(np.sum(spec.weights * gaussian_raw_moment(mu, var, spec.exponents)))
+    return DataMoments.of(spec, data_mean, data_var).target_mean
 
 
 def target_second_moment(spec: TargetSpec, data_mean, data_var) -> float:
@@ -145,32 +228,18 @@ def target_second_moment(spec: TargetSpec, data_mean, data_var) -> float:
 
     Used as the normalization reference when quoting MSE in dB.
     """
-    mu, var = _per_sensor(spec, data_mean, data_var)
-    w = spec.weights
-    variances = gaussian_power_variance(mu, var, spec.exponents)
-    mean = np.sum(w * gaussian_raw_moment(mu, var, spec.exponents))
-    return float(np.sum(w**2 * variances) + mean**2)
+    return DataMoments.of(spec, data_mean, data_var).target_second_moment
 
 
 def target_sum_cross_moment(spec: TargetSpec, data_mean, data_var) -> float:
-    """Expected product of the plain sensor sum and the target value.
-
-    ``E[(sum_i d_i) * (sum_j w_j d_j**v_j)]`` equals
-    ``sum_i (w_i E[d_i**(v_i+1)] + mu_i * sum_{j != i} w_j E[d_j**v_j])``
-    for independent sensors; this is the correlation term every
-    coefficient rule in this package shares.
-    """
-    mu, var = _per_sensor(spec, data_mean, data_var)
-    w = spec.weights
-    m_v, m_v1 = gaussian_raw_moment(mu, var, np.stack((spec.exponents, spec.exponents + 1)))
-    total_mean = np.sum(w * m_v)
-    return float(np.sum(w * m_v1 + mu * (total_mean - w * m_v)))
+    """Expected product of the plain sensor sum and the target value: :attr:`DataMoments.cross`."""
+    return DataMoments.of(spec, data_mean, data_var).cross
 
 
 def _per_sensor(spec: TargetSpec, data_mean, data_var):
     """Broadcast scalar-or-array data statistics to the target's sensor count."""
     mu = np.broadcast_to(np.asarray(data_mean, dtype=np.float64), spec.weights.shape)
     var = np.broadcast_to(np.asarray(data_var, dtype=np.float64), spec.weights.shape)
-    if np.any(var < 0.0):
+    if not (var >= 0.0).all():
         raise ValueError("data_var must be non-negative")
     return mu, var

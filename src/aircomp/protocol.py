@@ -70,7 +70,7 @@ class BetaVector:
             beta = beta.reshape(1)
         if beta.size == 0:
             raise ValueError("beta must be non-empty")
-        if np.any(beta < 0.0):
+        if not (beta >= 0.0).all():
             raise ValueError("combining coefficients must be non-negative")
         beta.setflags(write=False)
         object.__setattr__(self, "beta", beta)

@@ -37,7 +37,7 @@ from aircomp.estimator import (
     mse_model,
 )
 from aircomp.geometry import Trajectory, deploy_sensors, plan_diameter_trajectory
-from aircomp.nomographic import TargetSpec, gaussian_raw_moment, target_second_moment
+from aircomp.nomographic import TargetSpec, gaussian_raw_moment
 from aircomp.protocol import BetaVector, SumGainSamples
 
 
@@ -626,7 +626,11 @@ class TestExactMse:
             got = moments.mse(t.copy(), noise)
             assert_allclose(got, expected, rtol=1e-10, atol=1e-12 * np.max(np.abs(ex2)))
             assert np.all(got >= 0.0)
-            assert moments.target_second_moment == pytest.approx(target_second_moment(spec, mu, var), rel=1e-12)
+            target_mean = np.sum(w * m_v)
+            second_moment = np.sum(w**2 * (m_2v - m_v**2)) + target_mean**2
+            cross = np.sum(w * m_v1 + mu * (target_mean - w * m_v))
+            assert moments.target_second_moment == pytest.approx(second_moment, rel=1e-12)
+            assert moments.cross == pytest.approx(cross, rel=1e-12)
             # an equal coefficient b scales each round's stop sums: T = b * g_sum
             g_sum, b = t[0], float(rng.uniform(-1.0, 2.0))
             quad, lin = moments.equal_quadratic(g_sum, noise)
