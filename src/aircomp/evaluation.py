@@ -16,7 +16,10 @@ for positions, pilot noise, readings, and data-flyover noise, and every
 chunk keeps drawing from them.  Each round takes its draws in order and
 reduces on its own, so results are reproducible bit-for-bit for a fixed
 configuration and do not depend on the chunk size, which bounds memory
-only.
+only.  The streams do not depend on the target, so a sweep's targets at
+one axis value share one cell: one draw, one gain build and pilot sum
+per chunk and one disk quadrature, each target scored on them, and a
+target's rows are those of a cell of that target alone.
 
 The ``estimator`` of a configuration sets what a trial records.
 ``"plain"`` records the squared error of the realized round.
@@ -302,28 +305,53 @@ def _policy_label(policy) -> str:
     return policy if isinstance(policy, str) else "fixed"
 
 
-class _Cell:
-    """The fixed inputs of one operating point, shared by its rounds and policy rules.
+class _Geometry:
+    """The target-free inputs of one operating point: flight plan, channel, gain statistics and gains.
 
-    Quantities only some policies need are computed on first use.
+    A cell's streams are keyed on ``(seed, n, k)``, not on its target, so
+    every target at one operating point shares these.  Quantities only
+    some policies need are computed on first use.
     """
 
-    def __init__(self, config: ExperimentConfig, tspec: TargetSpec):
+    def __init__(self, config: ExperimentConfig):
         self.config = config
-        self.tspec = tspec
         self.params = ChannelParams(g0=config.g0, tx_power_w=config.p_watts)
         self.traj = plan_diameter_trajectory(config.k, config.r_cov, config.h)
-        self._gains = None  # the buffer redeployed rounds' gains are built in
 
     @cached_property
     def stats(self):
         return gain_statistics(self.traj, self.config.r_cov, self.params, self.config.zeta)
 
     @cached_property
-    def equal_optimal(self) -> float:
-        """The closed-form equal coefficient: the ``optimal-equal`` policy and the grid oracle's centre."""
+    def fixed_gains(self) -> np.ndarray:
+        """The seeded layout's gains, stop-major ``(k, n)``."""
+        return effective_gain_matrix(fixed_deployment(self.config), self.traj, self.params).g
+
+    def gains(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+        """Effective gains ``(size, k, n)`` of the next ``size = len(out)`` rounds' deployments.
+
+        Redeployed gains are built in place in ``out``; a fixed layout's
+        are a read-only view of its one ``(k, n)`` matrix.
+        """
         c = self.config
-        return beta_equal_optimal(self.tspec, self.stats, c.data_mean, c.data_var, c.noise_var)
+        if not c.redeploy_per_trial:
+            return np.broadcast_to(self.fixed_gains, out.shape)
+        x, y = scatter_on_disk(rng, c.r_cov, (len(out), c.n))
+        d2 = squared_ranges(x, y, self.traj, out=out)
+        return np.divide(gain_amplitude(c.zeta, self.params), d2, out=d2)
+
+
+class _Target:
+    """One target on a geometry: its data moments and its closed-form equal coefficient.
+
+    The moments' ``target_second_moment`` is the target's dB reference.
+    Quantities only some policies need are computed on first use.
+    """
+
+    def __init__(self, geometry: _Geometry, tspec: TargetSpec):
+        self.geometry = geometry
+        self.config = geometry.config
+        self.tspec = tspec
 
     @cached_property
     def moments(self) -> DataMoments:
@@ -331,29 +359,15 @@ class _Cell:
         return DataMoments.of(self.tspec, c.data_mean, c.data_var)
 
     @cached_property
-    def fixed_gains(self) -> np.ndarray:
-        """The seeded layout's gains, stop-major ``(k, n)``."""
-        return effective_gain_matrix(fixed_deployment(self.config), self.traj, self.params).g
-
-    def gains(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Effective gains ``(size, k, n)`` of the next ``size`` rounds' deployments.
-
-        Redeployed gains are built in place in one buffer the cell owns,
-        so each call overwrites the gains the previous call returned.
-        """
+    def equal_optimal(self) -> float:
+        """The closed-form equal coefficient: the ``optimal-equal`` policy and the grid oracle's centre."""
         c = self.config
-        if not c.redeploy_per_trial:
-            return np.broadcast_to(self.fixed_gains, (size, c.k, c.n))
-        if self._gains is None or len(self._gains) < size:
-            self._gains = np.empty((size, c.k, c.n))
-        x, y = scatter_on_disk(rng, c.r_cov, (size, c.n))
-        d2 = squared_ranges(x, y, self.traj, out=self._gains[:size])
-        return np.divide(gain_amplitude(c.zeta, self.params), d2, out=d2)
+        return beta_equal_optimal(self.tspec, self.geometry.stats, c.data_mean, c.data_var, c.noise_var)
 
 
 @dataclass(frozen=True)
 class _Rule:
-    """A policy resolved for one cell.
+    """A policy resolved for one target at one operating point.
 
     ``coefficients`` maps pilot sums ``(..., k)`` to per-stop
     coefficients ``(..., k)`` if ``per_stop`` is set, else to one equal
@@ -383,48 +397,49 @@ def _constant(beta: float) -> _Rule:
     return _Rule(lambda alpha: beta)
 
 
-def _heuristic(cell: _Cell) -> _Rule:
-    c = cell.config
+def _heuristic(target: _Target) -> _Rule:
+    c = target.config
     return _Rule(
-        lambda alpha: beta_heuristic(alpha, cell.tspec, c.data_mean, c.data_var, c.noise_var, c.n).beta,
+        lambda alpha: beta_heuristic(alpha, target.tspec, c.data_mean, c.data_var, c.noise_var, c.n).beta,
         per_stop=True,
         pilot=True,
     )
 
 
-def _heuristic_equal(cell: _Cell) -> _Rule:
-    c = cell.config
+def _heuristic_equal(target: _Target) -> _Rule:
+    c = target.config
     return _Rule(
-        lambda alpha: beta_heuristic_equal(alpha, cell.tspec, c.data_mean, c.data_var, c.noise_var, c.n),
+        lambda alpha: beta_heuristic_equal(alpha, target.tspec, c.data_mean, c.data_var, c.noise_var, c.n),
         pilot=True,
     )
 
 
-def _benchmark(cell: _Cell) -> _Rule:
-    return _constant(float(beta_benchmark(cell.traj, cell.params, cell.config.zeta, cell.config.n).beta[0]))
+def _benchmark(target: _Target) -> _Rule:
+    geometry, c = target.geometry, target.config
+    return _constant(float(beta_benchmark(geometry.traj, geometry.params, c.zeta, c.n).beta[0]))
 
 
 _POLICIES = {
     "heuristic": _heuristic,
     "heuristic-equal": _heuristic_equal,
-    "optimal-equal": lambda cell: _constant(cell.equal_optimal),
+    "optimal-equal": lambda target: _constant(target.equal_optimal),
     "benchmark": _benchmark,
-    "grid-oracle": lambda cell: _Rule(None),
-    "zero": lambda cell: _constant(0.0),
+    "grid-oracle": lambda target: _Rule(None),
+    "zero": lambda target: _constant(0.0),
 }
 POLICY_NAMES = tuple(_POLICIES)
 
 
-def _resolve(policy, cell: _Cell) -> _Rule:
+def _resolve(policy, target: _Target) -> _Rule:
     """Look a policy name up in the table, or wrap a fixed scalar or per-stop vector."""
     if isinstance(policy, str):
         if policy not in _POLICIES:
             raise ValueError(f"unknown policy {policy!r}; choose from {POLICY_NAMES}")
-        return _POLICIES[policy](cell)
+        return _POLICIES[policy](target)
     if isinstance(policy, (BetaVector, np.ndarray)):
         beta = policy.beta if isinstance(policy, BetaVector) else np.asarray(policy, float)
-        if beta.shape != (cell.config.k,):
-            raise ValueError(f"fixed beta must have {cell.config.k} entries, got shape {beta.shape}")
+        if beta.shape != (target.config.k,):
+            raise ValueError(f"fixed beta must have {target.config.k} entries, got shape {beta.shape}")
         if np.all(beta == beta[0]):
             return _constant(float(beta[0]))  # an equal vector is the scalar policy
         return _Rule(lambda alpha: beta, per_stop=True)
@@ -434,24 +449,18 @@ def _resolve(policy, cell: _Cell) -> _Rule:
 
 
 class _PlainRounds:
-    """A chunk's rounds played out: readings and data-flyover noise drawn, errors realized."""
+    """A chunk's rounds played out once for every target: readings and data-flyover noise drawn."""
 
-    def __init__(self, cell: _Cell, g, rngs):
-        c = cell.config
-        data = sensor_readings(c.data_mean, c.data_var, rngs[_S_DATA], (len(g), c.n))
-        self.dbar = stop_aggregates(g, data, c.noise_var, rngs[_S_FLYOVER])
-        self.target = target_values(cell.tspec, data)
+    def __init__(self, geometry: _Geometry, g, rngs):
+        c = geometry.config
+        self.data = sensor_readings(c.data_mean, c.data_var, rngs[_S_DATA], (len(g), c.n))
+        self.dbar = stop_aggregates(g, self.data, c.noise_var, rngs[_S_FLYOVER])
 
-    def errors(self, beta, per_stop: bool):
-        """Squared errors ``(S,)`` under coefficients from a rule's batch."""
-        return (combine(self.dbar, beta, per_stop) - self.target) ** 2
-
-    def equal_columns(self):
-        """What the grid search keeps of each round: its aggregate sum and its target."""
-        return self.dbar.sum(axis=1), self.target
+    def for_target(self, target: _Target) -> "_PlainView":
+        return _PlainView(self.dbar, target_values(target.tspec, self.data))
 
     @staticmethod
-    def grid(columns, cell: _Cell):
+    def grid(columns, target: _Target):
         """The grid search's per-round errors and objective at an equal coefficient ``b``."""
         agg_sum, agg_target = columns
 
@@ -461,41 +470,71 @@ class _PlainRounds:
         return sqerr, lambda b: float(np.mean(sqerr(b)))
 
 
+class _PlainView:
+    """One target's view of a chunk of played rounds: its realized errors."""
+
+    def __init__(self, dbar, values):
+        self.dbar = dbar
+        self.values = values  # the target on each round's readings
+
+    def errors(self, beta, per_stop: bool):
+        """Squared errors ``(S,)`` under coefficients from a rule's batch."""
+        return (combine(self.dbar, beta, per_stop) - self.values) ** 2
+
+    def equal_columns(self):
+        """What the grid search keeps of each round: its aggregate sum and its target."""
+        return self.dbar.sum(axis=1), self.values
+
+
 class _ConditionalRounds:
     """A chunk's rounds scored by ``E[err**2 | gains, pilot]``; readings and data-flyover noise are never drawn."""
 
-    def __init__(self, cell: _Cell, g, rngs):
-        self.cell = cell
+    def __init__(self, geometry: _Geometry, g, rngs):
+        self.config = geometry.config
         self.g = g
-        self._quadratic = None
 
-    def errors(self, beta, per_stop: bool):
-        """Exact conditional MSEs ``(S,)`` under coefficients from a rule's batch."""
-        moments, noise_var = self.cell.moments, self.cell.config.noise_var
-        if per_stop:
-            t = np.einsum("...k,...kn->...n", beta, self.g)
-            return moments.mse(t, noise_var * np.einsum("...k,...k->...", beta, beta))
-        return _equal_mse(*self.equal_columns(), moments.target_second_moment, beta)
+    @cached_property
+    def g_sum(self):
+        """Each round's gains summed over stops ``(S, n)``, shared by every target's equal coefficients."""
+        return np.einsum("...kn->...n", self.g)  # over stops, far faster than sum(axis=1) for small n
 
-    def equal_columns(self):
-        """Each round's ``(A, B)``: an equal coefficient ``b`` scores ``A b**2 - 2 B b + C``."""
-        if self._quadratic is None:
-            c = self.cell.config
-            g_sum = np.einsum("...kn->...n", self.g)  # over stops, far faster than sum(axis=1) for small n
-            self._quadratic = self.cell.moments.equal_quadratic(g_sum, c.k * c.noise_var)
-        return self._quadratic
+    def for_target(self, target: _Target) -> "_ConditionalView":
+        return _ConditionalView(self, target.moments)
 
     @staticmethod
-    def grid(columns, cell: _Cell):
+    def grid(columns, target: _Target):
         """The grid search's per-round errors and objective: the exact quadratic in ``b``."""
         quad, lin = columns
-        const = cell.moments.target_second_moment
+        const = target.moments.target_second_moment
         mean_quad, mean_lin = float(np.mean(quad)), float(np.mean(lin))
 
         def sqerr(b):
             return _equal_mse(quad, lin, const, b)
 
         return sqerr, lambda b: b * b * mean_quad - 2.0 * b * mean_lin + const
+
+
+class _ConditionalView:
+    """One target's view of a chunk of rounds: its exact conditional errors."""
+
+    def __init__(self, rounds: _ConditionalRounds, moments: DataMoments):
+        self.rounds = rounds
+        self.moments = moments
+        self._quadratic = None
+
+    def errors(self, beta, per_stop: bool):
+        """Exact conditional MSEs ``(S,)`` under coefficients from a rule's batch."""
+        if per_stop:
+            t = np.einsum("...k,...kn->...n", beta, self.rounds.g)
+            return self.moments.mse(t, self.rounds.config.noise_var * np.einsum("...k,...k->...", beta, beta))
+        return _equal_mse(*self.equal_columns(), self.moments.target_second_moment, beta)
+
+    def equal_columns(self):
+        """Each round's ``(A, B)``: an equal coefficient ``b`` scores ``A b**2 - 2 B b + C``."""
+        if self._quadratic is None:
+            c = self.rounds.config
+            self._quadratic = self.moments.equal_quadratic(self.rounds.g_sum, c.k * c.noise_var)
+        return self._quadratic
 
 
 def _equal_mse(quad, lin, const, b):
@@ -527,69 +566,108 @@ def _grid_search(sqerr, objective, center: float, resolution: int, span: float):
     return result, sqerr(beta)
 
 
-def _evaluate_cell(config: ExperimentConfig, tspec: TargetSpec, policies):
-    """Simulate one cell and score every policy on the same trials.
+class _Scores:
+    """One target's policies scored on a cell's rounds.
 
-    Returns per-trial errors (squared errors, or their conditional means;
-    see ``ExperimentConfig.estimator``) and acceptance flags, one row per
-    policy, the grid search if a policy is ``grid-oracle`` (else
-    ``None``), and per policy the exception that stopped its rule (else
-    ``None``); a failed policy's rows are meaningless and the others are
-    unaffected.
+    ``sqerr`` and ``accept`` hold per-trial errors (squared errors, or
+    their conditional means; see ``ExperimentConfig.estimator``) and
+    acceptance flags, one row per policy; ``oracle`` is the grid search
+    if a policy is ``grid-oracle`` (else ``None``); ``errors`` holds per
+    policy the exception that stopped its rule (else ``None``).  A failed
+    policy's rows are meaningless and the others are unaffected.  A
+    target whose rules cannot be resolved has that exception on every
+    policy and is never scored.
     """
-    cell = _Cell(config, tspec)
-    rounds = _ROUNDS[config.estimator]
-    rules = [_resolve(p, cell) for p in policies]
-    errors = [None] * len(rules)
-    trials = config.trials
-    sqerr = np.empty((len(rules), trials))
-    accept = np.ones((len(rules), trials), dtype=bool)
-    oracle_rows = [i for i, rule in enumerate(rules) if rule.coefficients is None]
-    if oracle_rows:
-        columns = np.empty((2, trials))
 
-    rngs = [make_rng(s) for s in spawn_seeds((config.seed, config.n, config.k), 4)]
-    chunk = _chunk_size(config.n, config.k)
-    for lo in range(0, trials, chunk):
-        hi = min(trials, lo + chunk)
-        # the steps of run_trial, on the next chunk of rounds
-        g = cell.gains(rngs[_S_POSITIONS], hi - lo)
-        alpha = pilot_sums(g, config.noise_var, rngs[_S_PILOT])
-        batch = rounds(cell, g, rngs)
-        for i, rule in enumerate(rules):
-            if rule.coefficients is None or errors[i] is not None:
+    def __init__(self, target: _Target, policies):
+        self.target = target
+        trials = target.config.trials
+        self.sqerr = np.empty((len(policies), trials))
+        self.accept = np.ones((len(policies), trials), dtype=bool)
+        self.oracle = None
+        self.errors = [None] * len(policies)
+        try:
+            self.rules = [_resolve(p, target) for p in policies]
+        except _FAILURES as exc:
+            self.rules, self.errors = [], [exc] * len(policies)
+        self._oracle_rows = [i for i, rule in enumerate(self.rules) if rule.coefficients is None]
+        self._columns = np.empty((2, trials)) if self._oracle_rows else None
+
+    def add(self, rounds, alpha, lo: int, hi: int) -> None:
+        """Score every rule on the chunk of rounds ``[lo, hi)`` with pilot sums ``alpha``."""
+        view = rounds.for_target(self.target)
+        for i, rule in enumerate(self.rules):
+            if rule.coefficients is None or self.errors[i] is not None:
                 continue
             try:
                 beta, ok = rule.batch(alpha)
             except _FAILURES as exc:
-                errors[i] = exc
+                self.errors[i] = exc
                 continue
             if ok is not None:
-                accept[i, lo:hi] = ok
-            sqerr[i, lo:hi] = batch.errors(beta, rule.per_stop)
-        if oracle_rows:
-            columns[:, lo:hi] = batch.equal_columns()
+                self.accept[i, lo:hi] = ok
+            self.sqerr[i, lo:hi] = view.errors(beta, rule.per_stop)
+        if self._oracle_rows:
+            self._columns[:, lo:hi] = view.equal_columns()
 
-    oracle = None
-    if oracle_rows:
+    def search(self, grid) -> None:
+        """The grid search on the kept equal columns, through the estimator's ``grid``."""
+        if not self._oracle_rows:
+            return
+        c = self.target.config
         try:
-            errors_at, objective = rounds.grid(columns, cell)
-            oracle, sqerr[oracle_rows] = _grid_search(
-                errors_at, objective, cell.equal_optimal, config.resolution, config.span
+            errors_at, objective = grid(self._columns, self.target)
+            self.oracle, self.sqerr[self._oracle_rows] = _grid_search(
+                errors_at, objective, self.target.equal_optimal, c.resolution, c.span
             )
         except _FAILURES as exc:
-            for i in oracle_rows:
-                errors[i] = exc
-    return sqerr, accept, oracle, errors
+            for i in self._oracle_rows:
+                self.errors[i] = exc
 
 
-def _evaluate_target(config: ExperimentConfig, policies):
-    """:func:`_evaluate_cell` on the config's own target, raising the first policy failure."""
-    sqerr, accept, oracle, errors = _evaluate_cell(config, build_target(config.target, config.n), policies)
-    for error in errors:
+def _evaluate_cell(config: ExperimentConfig, targets) -> list[_Scores]:
+    """Simulate one cell and score every target's policies on the same trials.
+
+    ``targets`` lists ``(tspec, policies)``.  Positions, gains and pilot
+    sums do not depend on the target, nor on ``plain`` do the readings,
+    the flyover noise and the aggregates, so each chunk draws and builds
+    them once and scores every target on them: a target's scores are
+    those of a cell of that target alone, bit for bit.  Returns one
+    :class:`_Scores` per target.
+    """
+    geometry = _Geometry(config)
+    rounds = _ROUNDS[config.estimator]
+    scores = [_Scores(_Target(geometry, tspec), policies) for tspec, policies in targets]
+    live = [s for s in scores if s.rules]
+    if not live:
+        return scores
+
+    rngs = [make_rng(s) for s in spawn_seeds((config.seed, config.n, config.k), 4)]
+    chunk = _chunk_size(config.n, config.k)
+    # the cell's one (chunk, k, n) array: each chunk's gains are built in it, and it
+    # goes with the cell, not with the scores it returns
+    buffer = np.empty((min(chunk, config.trials), config.k, config.n))
+    for lo in range(0, config.trials, chunk):
+        hi = min(config.trials, lo + chunk)
+        # the steps of run_trial, on the next chunk of rounds
+        g = geometry.gains(rngs[_S_POSITIONS], buffer[: hi - lo])
+        alpha = pilot_sums(g, config.noise_var, rngs[_S_PILOT])
+        batch = rounds(geometry, g, rngs)
+        for s in live:
+            s.add(batch, alpha, lo, hi)
+        del batch  # its shared arrays go before the next chunk's gains are built
+    for s in live:
+        s.search(rounds.grid)
+    return scores
+
+
+def _evaluate_target(config: ExperimentConfig, policies) -> _Scores:
+    """:func:`_evaluate_cell` on the config's own target alone, raising the first policy failure."""
+    [scores] = _evaluate_cell(config, [(build_target(config.target, config.n), policies)])
+    for error in scores.errors:
         if error is not None:
             raise error
-    return sqerr, accept, oracle
+    return scores
 
 
 def _summarize(sqerr: np.ndarray, accept: np.ndarray, policy) -> PolicyEstimate:
@@ -622,8 +700,8 @@ def run_trial(config: ExperimentConfig, policy, trial_seed) -> float:
     needs a batch of trials and is rejected here.
     """
     tspec = build_target(config.target, config.n)
-    cell = _Cell(config, tspec)
-    rule = _resolve(policy, cell)
+    geometry = _Geometry(config)
+    rule = _resolve(policy, _Target(geometry, tspec))
     if rule.coefficients is None:
         raise ValueError("grid-oracle needs a trial batch; use estimate_mse or grid_oracle")
     streams = spawn_seeds(trial_seed, 4)
@@ -635,7 +713,7 @@ def run_trial(config: ExperimentConfig, policy, trial_seed) -> float:
         )
     else:
         sensors = fixed_deployment(config)
-    gains = effective_gain_matrix(sensors, cell.traj, cell.params)
+    gains = effective_gain_matrix(sensors, geometry.traj, geometry.params)
     pilots = sampling_phase(gains, config.noise_var, streams[_S_PILOT])
     data = draw_sensor_data(sensors, streams[_S_DATA])
     aggregates = computation_phase(gains, data, config.noise_var, streams[_S_FLYOVER])
@@ -651,8 +729,8 @@ def estimate_mse(config: ExperimentConfig, policy) -> PolicyEstimate:
     excluded and counted for pilot-using policies.  Raises
     :class:`EstimationError` if nothing survives.
     """
-    sqerr, accept, _ = _evaluate_target(config, [policy])
-    return _summarize(sqerr[0], accept[0], policy)
+    scores = _evaluate_target(config, [policy])
+    return _summarize(scores.sqerr[0], scores.accept[0], policy)
 
 
 def compare_policies(config: ExperimentConfig, policy_a, policy_b) -> GapEstimate:
@@ -661,7 +739,8 @@ def compare_policies(config: ExperimentConfig, policy_a, policy_b) -> GapEstimat
     Only trials accepted by both policies enter, and the standard error
     accounts for the covariance the shared randomness induces.
     """
-    sqerr, accept, _ = _evaluate_target(config, [policy_a, policy_b])
+    scores = _evaluate_target(config, [policy_a, policy_b])
+    sqerr, accept = scores.sqerr, scores.accept
     joint = accept[0] & accept[1]
     used = int(joint.sum())
     if used < 2:
@@ -696,11 +775,18 @@ def sweep(config: ExperimentConfig, axis: str, values, targets=None) -> Experime
             target's name, and a :class:`TargetSpec` at 1-based position
             ``i`` of ``targets`` as ``custom-<i>``.
 
+    The targets at one axis value share one cell: one draw of positions
+    and pilot noise, one gain build and one disk quadrature, each target
+    scored on them (see :func:`_evaluate_cell`), so every row equals the
+    row of a sweep of its target alone.
+
     A failure is recorded instead of aborting the sweep: each row it
     reaches gets NaN statistics, zero trials and the exception in
     ``error``.  A policy's own failure (all its trials rejected, or its
-    rule or grid search raising) reaches only its row; a cell-wide one,
-    such as an unusable dB reference, reaches every row of the cell.
+    rule or grid search raising) reaches only its row; a target's own
+    one, such as a spec of the wrong length or an unusable dB reference,
+    reaches every row of that target; and a failure of the shared
+    geometry reaches every row of the axis value.
     """
     axis = axis.lower()
     if axis not in ("k", "n"):
@@ -716,20 +802,27 @@ def sweep(config: ExperimentConfig, axis: str, values, targets=None) -> Experime
     rows: list[SweepRow] = []
     for value in vals:
         cell_cfg = replace(config, **{axis: value})
+        outcomes, specs = {}, {}  # by 1-based position in targets
+        for position, target in enumerate(targets, 1):
+            try:
+                specs[position] = build_target(target, cell_cfg.n)
+            except _FAILURES as exc:  # the target's own failure
+                outcomes[position] = exc
+        try:
+            cell = _evaluate_cell(cell_cfg, [(tspec, config.policies) for tspec in specs.values()])
+            outcomes.update(zip(specs, cell))
+        except _FAILURES as exc:  # the shared geometry failed, so every target did
+            outcomes.update(dict.fromkeys(specs, exc))
         for position, target in enumerate(targets, 1):
             label = target if isinstance(target, str) else f"custom-{position}"
-            try:
-                tspec = build_target(target, cell_cfg.n)
-                reference = target_reference(cell_cfg, tspec)
-                sqerr, accept, _, errors = _evaluate_cell(cell_cfg, tspec, config.policies)
-            except _FAILURES as exc:  # the whole cell failed
-                errors = [exc] * len(config.policies)
+            scores = outcomes[position]
+            errors = scores.errors if isinstance(scores, _Scores) else [scores] * len(config.policies)
             for i, policy in enumerate(config.policies):
                 error = errors[i]
                 if error is None:
                     try:
-                        est = _summarize(sqerr[i], accept[i], policy)
-                        mse_db = to_db(est.mse, reference)
+                        est = _summarize(scores.sqerr[i], scores.accept[i], policy)
+                        mse_db = to_db(est.mse, scores.target.moments.target_second_moment)
                     except _FAILURES as exc:
                         error = exc
                 if error is None:
@@ -756,4 +849,4 @@ def grid_oracle(
     """
     grid = {"resolution": resolution, "span": span}
     config = replace(config, **{key: value for key, value in grid.items() if value is not None})
-    return _evaluate_target(config, ["grid-oracle"])[2]
+    return _evaluate_target(config, ["grid-oracle"]).oracle

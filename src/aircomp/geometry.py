@@ -31,8 +31,8 @@ class SensorField:
     Attributes:
         positions: ``(n, 2)`` sensor coordinates in meters.
         reflection: ``(n,)`` backscatter reflection coefficients in ``(0, 1]``.
-        data_mean: ``(n,)`` means of the Gaussian data sources.
-        data_var: ``(n,)`` variances of the Gaussian data sources (``>= 0``).
+        data_mean: ``(n,)`` finite means of the Gaussian data sources.
+        data_var: ``(n,)`` finite variances of the Gaussian data sources (``>= 0``).
     """
 
     positions: np.ndarray
@@ -53,6 +53,8 @@ class SensorField:
             raise ValueError("reflection coefficients must lie in (0, 1]")
         if not (fields["data_var"] >= 0.0).all():
             raise ValueError("data_var must be non-negative")
+        if not (np.isfinite(fields["data_mean"]).all() and np.isfinite(fields["data_var"]).all()):
+            raise ValueError("data_mean and data_var must be finite")
         object.__setattr__(self, "positions", pos)
         for name, arr in fields.items():
             object.__setattr__(self, name, arr)

@@ -22,7 +22,7 @@ class TargetSpec:
     """A weighted power-sum target ``sum_i weights[i] * d_i**exponents[i]``.
 
     Attributes:
-        weights: ``(n,)`` positive weights.
+        weights: ``(n,)`` positive, finite weights.
         exponents: ``(n,)`` integer exponents, each ``>= 1``.
     """
 
@@ -38,6 +38,8 @@ class TargetSpec:
             raise ValueError(f"exponents shape {v.shape} must match weights shape {w.shape}")
         if not (w > 0.0).all():
             raise ValueError("weights must be positive")
+        if not np.isfinite(w).all():
+            raise ValueError("weights must be finite")
         if not np.all(v == np.floor(v)) or np.any(v < 1):
             raise ValueError("exponents must be integers >= 1")
         v = v.astype(np.int64)
@@ -237,9 +239,11 @@ def target_sum_cross_moment(spec: TargetSpec, data_mean, data_var) -> float:
 
 
 def _per_sensor(spec: TargetSpec, data_mean, data_var):
-    """Broadcast scalar-or-array data statistics to the target's sensor count."""
+    """Broadcast scalar-or-array data statistics to the target's sensor count, checked finite."""
     mu = np.broadcast_to(np.asarray(data_mean, dtype=np.float64), spec.weights.shape)
     var = np.broadcast_to(np.asarray(data_var, dtype=np.float64), spec.weights.shape)
     if not (var >= 0.0).all():
         raise ValueError("data_var must be non-negative")
+    if not (np.isfinite(mu).all() and np.isfinite(var).all()):
+        raise ValueError("data_mean and data_var must be finite")
     return mu, var

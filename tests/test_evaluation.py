@@ -56,6 +56,12 @@ from aircomp.rng import make_rng, spawn_seeds
 
 ROUND_POLICIES = [p for p in POLICY_NAMES if p != "grid-oracle"]  # the policies a lone round can run
 
+
+def evaluate_cell(cfg, tspec, policies):
+    """One target's ``(sqerr, accept, oracle, errors)`` from a cell of that target alone."""
+    [scores] = evaluation._evaluate_cell(cfg, [(tspec, policies)])
+    return scores.sqerr, scores.accept, scores.oracle, scores.errors
+
 class TestExperimentConfig:
     """Validation and defaults of the experiment description."""
 
@@ -251,7 +257,7 @@ class TestRunTrial:
                             n=n, k=k, noise_var=noise_var, target=target, seed=seed,
                             redeploy_per_trial=redeploy, trials=trials, estimator="plain",
                         )
-                        sqerr, accept, _, errors = evaluation._evaluate_cell(
+                        sqerr, accept, _, errors = evaluate_cell(
                             cfg, build_target(target, n), [policy]
                         )
                         assert errors == [None]
@@ -359,7 +365,7 @@ class TestChunking:
                     outcomes = []
                     for chunk_size in chunk_sizes:
                         monkeypatch.setattr(evaluation, "_chunk_size", chunk_size)
-                        sqerr, accept, oracle, errors = evaluation._evaluate_cell(
+                        sqerr, accept, oracle, errors = evaluate_cell(
                             cfg, build_target(target, cfg.n), POLICY_NAMES
                         )
                         assert errors == [None] * len(POLICY_NAMES)
@@ -389,7 +395,7 @@ class TestChunking:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            evaluation._evaluate_cell(cfg, tspec, cfg.policies)
+            evaluate_cell(cfg, tspec, cfg.policies)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -401,10 +407,11 @@ class TestConditionalEstimator:
 
     @staticmethod
     def rounds(cfg):
-        """A cell's gains ``(trials, k, n)`` and pilot sums ``(trials, k)``, drawn from its streams."""
-        cell = evaluation._Cell(cfg, build_target(cfg.target, cfg.n))
+        """A cell's target part, and its gains ``(trials, k, n)`` and pilot sums ``(trials, k)``."""
+        geometry = evaluation._Geometry(cfg)
+        cell = evaluation._Target(geometry, build_target(cfg.target, cfg.n))
         streams = [make_rng(s) for s in spawn_seeds((cfg.seed, cfg.n, cfg.k), 4)]
-        g = np.array(cell.gains(streams[0], cfg.trials))
+        g = np.array(geometry.gains(streams[0], np.empty((cfg.trials, cfg.k, cfg.n))))
         return cell, g, pilot_sums(g, cfg.noise_var, streams[1])
 
     @staticmethod
@@ -418,10 +425,11 @@ class TestConditionalEstimator:
         if policy == "heuristic-equal":
             return beta_heuristic_equal(alpha, tspec, c.data_mean, c.data_var, c.noise_var, c.n)
         if policy == "optimal-equal":
-            stats = gain_statistics(cell.traj, c.r_cov, cell.params, c.zeta)
+            geometry = cell.geometry
+            stats = gain_statistics(geometry.traj, c.r_cov, geometry.params, c.zeta)
             return beta_equal_optimal(tspec, stats, c.data_mean, c.data_var, c.noise_var)
         if policy == "benchmark":
-            return beta_benchmark(cell.traj, cell.params, c.zeta, c.n).beta
+            return beta_benchmark(cell.geometry.traj, cell.geometry.params, c.zeta, c.n).beta
         assert policy == "zero"
         return 0.0
 
@@ -434,7 +442,7 @@ class TestConditionalEstimator:
             noise_var=1e-12, trials=12, seed=8,
         )
         policies = [*ROUND_POLICIES, np.linspace(1e5, 2e5, cfg.k), 1.5e5]
-        sqerr, accept, _, errors = evaluation._evaluate_cell(cfg, build_target(target, cfg.n), policies)
+        sqerr, accept, _, errors = evaluate_cell(cfg, build_target(target, cfg.n), policies)
         cell, g, alpha = self.rounds(cfg)
         checked = 0
         for i, policy in enumerate(policies):
@@ -455,8 +463,8 @@ class TestConditionalEstimator:
         for noise_var in (0.0, 1e-12, 1e-10, 1e-9):
             cfg = ExperimentConfig(noise_var=noise_var, trials=3000, seed=4)
             tspec = build_target(cfg.target, cfg.n)
-            _, conditional, _, _ = evaluation._evaluate_cell(cfg, tspec, ROUND_POLICIES)
-            _, plain, _, _ = evaluation._evaluate_cell(replace(cfg, estimator="plain"), tspec, ROUND_POLICIES)
+            _, conditional, _, _ = evaluate_cell(cfg, tspec, ROUND_POLICIES)
+            _, plain, _, _ = evaluate_cell(replace(cfg, estimator="plain"), tspec, ROUND_POLICIES)
             np.testing.assert_array_equal(conditional, plain)
         assert not plain.all()  # some rounds were rejected
 
@@ -483,11 +491,11 @@ class TestConditionalEstimator:
             outcomes = []
             for chunk_size in (evaluation._chunk_size, lambda n, k: 1, lambda n, k: 13):
                 monkeypatch.setattr(evaluation, "_chunk_size", chunk_size)
-                sqerr, accept, oracle, errors = evaluation._evaluate_cell(cfg, tspec, POLICY_NAMES)
+                sqerr, accept, oracle, errors = evaluate_cell(cfg, tspec, POLICY_NAMES)
                 assert errors == [None] * len(POLICY_NAMES)
                 outcomes.append((sqerr.tobytes(), accept.tobytes(), oracle.values.tobytes()))
             assert outcomes[1:] == outcomes[:1] * 2, target
-            lone, _, _, _ = evaluation._evaluate_cell(replace(cfg, trials=1), tspec, ROUND_POLICIES)
+            lone, _, _, _ = evaluate_cell(replace(cfg, trials=1), tspec, ROUND_POLICIES)
             rows = [POLICY_NAMES.index(p) for p in ROUND_POLICIES]
             np.testing.assert_array_equal(lone[:, 0], sqerr[rows, 0])
 
@@ -715,6 +723,92 @@ class TestSweep:
         raw = path.read_bytes()
         assert b"\r" not in raw
         assert raw.decode() == result.to_csv_text()
+
+
+def row_bits(row):
+    """A sweep row with every float as its exact hex form, so NaN rows compare too."""
+    return (
+        row.axis_value, row.target, row.policy,
+        *(float(x).hex() for x in (row.mse, row.std_err, row.mse_db)),
+        row.trials_used, row.error,
+    )
+
+
+class TestSharedGeometry:
+    """A sweep's targets at one axis value share one draw, one gain build and one quadrature."""
+
+    CUSTOM = TargetSpec(np.arange(1.0, 21.0), np.tile([1, 3], 10))  # mixed exponents, for n = 20
+
+    @pytest.mark.parametrize("redeploy", [True, False])
+    @pytest.mark.parametrize("estimator", ESTIMATOR_NAMES)
+    def test_every_row_is_its_single_target_row(self, estimator, redeploy):
+        cfg = ExperimentConfig(
+            noise_var=1e-12, trials=150, seed=19, policies=POLICY_NAMES,
+            estimator=estimator, redeploy_per_trial=redeploy,
+        )
+        targets = [*TARGET_NAMES, self.CUSTOM]  # what --targets all runs, and a custom spec
+        rows = sweep(cfg, "k", [1, 3], targets=targets).rows
+        alone = []
+        for position, target in enumerate(targets, 1):
+            label = target if isinstance(target, str) else f"custom-{position}"
+            alone += [replace(r, target=label) for r in sweep(cfg, "k", [1, 3], targets=[target]).rows]
+        by_key = {(r.axis_value, r.target, r.policy): r for r in alone}
+        assert len(rows) == len(by_key) == 2 * 4 * len(POLICY_NAMES)
+        assert [row_bits(r) for r in rows] == [row_bits(by_key[r.axis_value, r.target, r.policy]) for r in rows]
+        # zero-mean data leaves config-2's grid search no positive centre; nothing else fails
+        failed = {(r.target, r.policy) for r in rows if r.error}
+        assert failed == {("config-2", "grid-oracle")}
+
+    def test_a_wrong_length_spec_fails_only_its_rows(self):
+        cfg = ExperimentConfig(
+            noise_var=1e-12, trials=100, seed=3, policies=("heuristic", "optimal-equal", "grid-oracle"),
+        )
+        rows = sweep(cfg, "n", [10, 20], targets=["config-3", self.CUSTOM]).rows
+        alone = sweep(cfg, "n", [10, 20], targets=["config-3"]).rows
+        assert [row_bits(r) for r in rows if r.target == "config-3"] == [row_bits(r) for r in alone]
+        for row in rows:
+            if row.target == "custom-2" and row.axis_value == 10:
+                assert math.isnan(row.mse) and row.trials_used == 0
+                assert row.error == "ValueError: target spec is for 20 sensors, expected 10"
+            else:
+                assert row.error == "" and math.isfinite(row.mse_db)
+
+    @pytest.mark.parametrize("estimator", ESTIMATOR_NAMES)
+    def test_a_multi_target_cell_does_not_depend_on_chunk_size(self, estimator, monkeypatch):
+        cfg = ExperimentConfig(data_mean=1.5, noise_var=1e-12, trials=40, seed=6, estimator=estimator)
+        targets = [(build_target(t, cfg.n), POLICY_NAMES) for t in TARGET_NAMES]
+        outcomes = []
+        for chunk_size in (evaluation._chunk_size, lambda n, k: 1, lambda n, k: 13):
+            monkeypatch.setattr(evaluation, "_chunk_size", chunk_size)
+            outcome = []
+            for s in evaluation._evaluate_cell(cfg, targets):
+                assert s.errors == [None] * len(POLICY_NAMES)
+                outcome.append((s.sqerr.tobytes(), s.accept.tobytes(), s.oracle.values.tobytes()))
+            outcomes.append(outcome)
+        assert outcomes[1:] == outcomes[:1] * 2
+        for (tspec, policies), shared in zip(targets, outcomes[0]):
+            sqerr, accept, oracle, _ = evaluate_cell(cfg, tspec, policies)
+            assert shared == (sqerr.tobytes(), accept.tobytes(), oracle.values.tobytes())
+
+    def test_geometry_is_built_once_per_axis_value(self, monkeypatch):
+        calls = {"gain_statistics": 0, "scatter_on_disk": 0, "target_second_moment": 0}
+        for name in calls:
+            original = getattr(evaluation, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(evaluation, name, counted)
+        cfg = ExperimentConfig(
+            data_mean=1.5, noise_var=1e-12, trials=100, seed=2,
+            policies=("heuristic", "optimal-equal", "benchmark", "grid-oracle"),
+        )
+        rows = sweep(cfg, "k", [2, 3], targets=list(TARGET_NAMES)).rows
+        assert all(r.error == "" for r in rows)
+        # one quadrature and one position draw (one chunk) per axis value, for all three targets;
+        # each dB reference comes from the target's own moments
+        assert calls == {"gain_statistics": 2, "scatter_on_disk": 2, "target_second_moment": 0}
 
 
 class TestGridOracleBatch:

@@ -1,4 +1,5 @@
-"""A NaN entry fails every value check, as an out-of-range value does."""
+"""A NaN entry fails every value check, as an out-of-range value does, and so does an
+infinite weight or data statistic."""
 
 import numpy as np
 import pytest
@@ -16,8 +17,10 @@ from aircomp import (
     plan_diameter_trajectory,
     target_mean,
 )
+from aircomp.nomographic import DataMoments
 
 NAN = float("nan")
+INF = float("inf")
 SPEC = TargetSpec(np.ones(2), np.ones(2, dtype=int))
 GAINS = GainMatrix(np.full((1, 2), 1e-7))
 
@@ -50,4 +53,21 @@ CASES = {
 @pytest.mark.parametrize("build", CASES.values(), ids=CASES.keys())
 def test_nan_entry_is_rejected(build):
     with pytest.raises(ValueError):
+        build()
+
+
+NON_FINITE_CASES = {
+    "infinite target weight": lambda: TargetSpec(np.array([INF, 1.0]), np.ones(2, dtype=int)),
+    "field data_mean": lambda: _field(data_mean=np.array([NAN, 0.0])),
+    "infinite field data_mean": lambda: _field(data_mean=np.array([-INF, 0.0])),
+    "infinite field data_var": lambda: _field(data_var=np.array([INF, 1.0])),
+    "target data_mean": lambda: target_mean(SPEC, NAN, 1.0),
+    "infinite target data_mean": lambda: target_mean(SPEC, INF, 1.0),
+    "infinite moments data_var": lambda: DataMoments.of(SPEC, 0.0, INF),
+}
+
+
+@pytest.mark.parametrize("build", NON_FINITE_CASES.values(), ids=NON_FINITE_CASES.keys())
+def test_non_finite_weight_or_statistic_is_rejected(build):
+    with pytest.raises(ValueError, match="finite"):
         build()
