@@ -546,58 +546,45 @@ def _equal_mse(quad, lin, const, b):
 _ROUNDS = {"plain": _PlainRounds, "conditional": _ConditionalRounds}
 
 
-def _grid_search(sqerr, objective, center: float, resolution: int, span: float):
-    """Equal-coefficient grid search scored on one batch of rounds.
-
-    ``objective(b)`` is the batch's mean error at an equal coefficient
-    ``b`` and ``sqerr(b)`` its per-round errors.  Returns the
-    :class:`GridOracleResult` and the errors of its best coefficient.
-    """
-    record = []
-
-    def recorded(b):
-        val = objective(b)
-        record.append((b, val))
-        return val
-
-    beta, mse = beta_grid_oracle(recorded, center, resolution=resolution, span=span)
-    grid, values = (np.array(column) for column in zip(*record))
-    result = GridOracleResult(beta=beta, mse=mse, center=center, grid=grid, values=values)
-    return result, sqerr(beta)
-
-
 class _Scores:
-    """One target's policies scored on a cell's rounds.
+    """One target's policies scored on a cell's rounds, and the one record of their failures.
 
     ``sqerr`` and ``accept`` hold per-trial errors (squared errors, or
     their conditional means; see ``ExperimentConfig.estimator``) and
     acceptance flags, one row per policy; ``oracle`` is the grid search
     if a policy is ``grid-oracle`` (else ``None``); ``errors`` holds per
-    policy the exception that stopped its rule (else ``None``).  A failed
-    policy's rows are meaningless and the others are unaffected.  A
-    target whose rules cannot be resolved has that exception on every
-    policy and is never scored.
+    policy the exception that stopped it (else ``None``), and a failed
+    policy's rows are meaningless.  A target that cannot be built from
+    its selector stops every policy; a rule that cannot be built (a
+    fixed vector of the wrong length, a disk quadrature that does not
+    converge) or that raises, and a grid search that raises, stop theirs.
     """
 
-    def __init__(self, target: _Target, policies):
-        self.target = target
-        trials = target.config.trials
+    def __init__(self, geometry: _Geometry, target, policies):
+        trials = geometry.config.trials
         self.sqerr = np.empty((len(policies), trials))
         self.accept = np.ones((len(policies), trials), dtype=bool)
         self.oracle = None
         self.errors = [None] * len(policies)
+        self.rules = [None] * len(policies)
         try:
-            self.rules = [_resolve(p, target) for p in policies]
-        except _FAILURES as exc:
-            self.rules, self.errors = [], [exc] * len(policies)
-        self._oracle_rows = [i for i, rule in enumerate(self.rules) if rule.coefficients is None]
+            self.target = _Target(geometry, build_target(target, geometry.config.n))
+        except _FAILURES as exc:  # the target's own failure
+            self.errors = [exc] * len(policies)
+            return
+        for i, policy in enumerate(policies):
+            try:
+                self.rules[i] = _resolve(policy, self.target)
+            except _FAILURES as exc:  # the rule's own failure
+                self.errors[i] = exc
+        self._oracle_rows = [i for i, rule in enumerate(self.rules) if rule and rule.coefficients is None]
         self._columns = np.empty((2, trials)) if self._oracle_rows else None
 
     def add(self, rounds, alpha, lo: int, hi: int) -> None:
-        """Score every rule on the chunk of rounds ``[lo, hi)`` with pilot sums ``alpha``."""
+        """Score every running rule on the chunk of rounds ``[lo, hi)`` with pilot sums ``alpha``."""
         view = rounds.for_target(self.target)
         for i, rule in enumerate(self.rules):
-            if rule.coefficients is None or self.errors[i] is not None:
+            if self.errors[i] is not None or rule.coefficients is None:
                 continue
             try:
                 beta, ok = rule.batch(alpha)
@@ -612,33 +599,45 @@ class _Scores:
 
     def search(self, grid) -> None:
         """The grid search on the kept equal columns, through the estimator's ``grid``."""
-        if not self._oracle_rows:
+        rows = [i for i in self._oracle_rows if self.errors[i] is None]
+        if not rows:
             return
         c = self.target.config
+        record = []
+
+        def recorded(b):
+            val = objective(b)
+            record.append((b, val))
+            return val
+
         try:
-            errors_at, objective = grid(self._columns, self.target)
-            self.oracle, self.sqerr[self._oracle_rows] = _grid_search(
-                errors_at, objective, self.target.equal_optimal, c.resolution, c.span
-            )
+            sqerr, objective = grid(self._columns, self.target)
+            center = self.target.equal_optimal
+            beta, mse = beta_grid_oracle(recorded, center, resolution=c.resolution, span=c.span)
+            self.sqerr[rows] = sqerr(beta)
         except _FAILURES as exc:
-            for i in self._oracle_rows:
+            for i in rows:
                 self.errors[i] = exc
+            return
+        points, values = (np.array(column) for column in zip(*record))
+        self.oracle = GridOracleResult(beta=beta, mse=mse, center=center, grid=points, values=values)
 
 
-def _evaluate_cell(config: ExperimentConfig, targets) -> list[_Scores]:
-    """Simulate one cell and score every target's policies on the same trials.
+def _evaluate_cell(config: ExperimentConfig, targets, policies) -> list[_Scores]:
+    """Simulate one cell and score every target selector's ``policies`` on the same trials.
 
-    ``targets`` lists ``(tspec, policies)``.  Positions, gains and pilot
-    sums do not depend on the target, nor on ``plain`` do the readings,
-    the flyover noise and the aggregates, so each chunk draws and builds
-    them once and scores every target on them: a target's scores are
-    those of a cell of that target alone, bit for bit.  Returns one
-    :class:`_Scores` per target.
+    Positions, gains and pilot sums do not depend on the target, nor on
+    ``plain`` do the readings, the flyover noise and the aggregates, so
+    the chunk loop draws and builds them once per chunk and scores every
+    target on them: a target's scores are those of a cell of that target
+    alone, bit for bit.  Returns one :class:`_Scores` per target; a
+    failure of the shared chunk loop (the draws, the gain build or the
+    pilot sums) is recorded there on every policy still running.
     """
     geometry = _Geometry(config)
     rounds = _ROUNDS[config.estimator]
-    scores = [_Scores(_Target(geometry, tspec), policies) for tspec, policies in targets]
-    live = [s for s in scores if s.rules]
+    scores = [_Scores(geometry, target, policies) for target in targets]
+    live = [s for s in scores if None in s.errors]
     if not live:
         return scores
 
@@ -647,15 +646,19 @@ def _evaluate_cell(config: ExperimentConfig, targets) -> list[_Scores]:
     # the cell's one (chunk, k, n) array: each chunk's gains are built in it, and it
     # goes with the cell, not with the scores it returns
     buffer = np.empty((min(chunk, config.trials), config.k, config.n))
-    for lo in range(0, config.trials, chunk):
-        hi = min(config.trials, lo + chunk)
-        # the steps of run_trial, on the next chunk of rounds
-        g = geometry.gains(rngs[_S_POSITIONS], buffer[: hi - lo])
-        alpha = pilot_sums(g, config.noise_var, rngs[_S_PILOT])
-        batch = rounds(geometry, g, rngs)
+    try:
+        for lo in range(0, config.trials, chunk):
+            hi = min(config.trials, lo + chunk)
+            # the steps of run_trial, on the next chunk of rounds
+            g = geometry.gains(rngs[_S_POSITIONS], buffer[: hi - lo])
+            alpha = pilot_sums(g, config.noise_var, rngs[_S_PILOT])
+            batch = rounds(geometry, g, rngs)
+            for s in live:
+                s.add(batch, alpha, lo, hi)
+            del batch  # its shared arrays go before the next chunk's gains are built
+    except _FAILURES as exc:  # the shared rounds failed, so every running policy did
         for s in live:
-            s.add(batch, alpha, lo, hi)
-        del batch  # its shared arrays go before the next chunk's gains are built
+            s.errors = [exc if error is None else error for error in s.errors]
     for s in live:
         s.search(rounds.grid)
     return scores
@@ -663,7 +666,7 @@ def _evaluate_cell(config: ExperimentConfig, targets) -> list[_Scores]:
 
 def _evaluate_target(config: ExperimentConfig, policies) -> _Scores:
     """:func:`_evaluate_cell` on the config's own target alone, raising the first policy failure."""
-    [scores] = _evaluate_cell(config, [(build_target(config.target, config.n), policies)])
+    [scores] = _evaluate_cell(config, [config.target], policies)
     for error in scores.errors:
         if error is not None:
             raise error
@@ -782,11 +785,15 @@ def sweep(config: ExperimentConfig, axis: str, values, targets=None) -> Experime
 
     A failure is recorded instead of aborting the sweep: each row it
     reaches gets NaN statistics, zero trials and the exception in
-    ``error``.  A policy's own failure (all its trials rejected, or its
-    rule or grid search raising) reaches only its row; a target's own
-    one, such as a spec of the wrong length or an unusable dB reference,
-    reaches every row of that target; and a failure of the shared
-    geometry reaches every row of the axis value.
+    ``error``; each cell's failures are read from its :class:`_Scores`.
+    A policy's own failure reaches only its row: all its trials rejected,
+    its rule or grid search raising, or a rule that cannot be built (a
+    fixed vector of the wrong length, or ``optimal-equal`` and
+    ``grid-oracle`` when the disk quadrature does not converge).  A
+    target's own one, such as a spec of the wrong length or an unusable
+    dB reference, reaches every row of that target; and a failure of the
+    chunk loop the targets share (the draws, the gain build and the pilot
+    sums) reaches every row of the axis value that had not failed yet.
     """
     axis = axis.lower()
     if axis not in ("k", "n"):
@@ -801,30 +808,17 @@ def sweep(config: ExperimentConfig, axis: str, values, targets=None) -> Experime
 
     rows: list[SweepRow] = []
     for value in vals:
-        cell_cfg = replace(config, **{axis: value})
-        outcomes, specs = {}, {}  # by 1-based position in targets
-        for position, target in enumerate(targets, 1):
-            try:
-                specs[position] = build_target(target, cell_cfg.n)
-            except _FAILURES as exc:  # the target's own failure
-                outcomes[position] = exc
-        try:
-            cell = _evaluate_cell(cell_cfg, [(tspec, config.policies) for tspec in specs.values()])
-            outcomes.update(zip(specs, cell))
-        except _FAILURES as exc:  # the shared geometry failed, so every target did
-            outcomes.update(dict.fromkeys(specs, exc))
-        for position, target in enumerate(targets, 1):
+        cell = _evaluate_cell(replace(config, **{axis: value}), targets, config.policies)
+        for position, (target, scores) in enumerate(zip(targets, cell), 1):
             label = target if isinstance(target, str) else f"custom-{position}"
-            scores = outcomes[position]
-            errors = scores.errors if isinstance(scores, _Scores) else [scores] * len(config.policies)
             for i, policy in enumerate(config.policies):
-                error = errors[i]
-                if error is None:
+                if scores.errors[i] is None:
                     try:
                         est = _summarize(scores.sqerr[i], scores.accept[i], policy)
                         mse_db = to_db(est.mse, scores.target.moments.target_second_moment)
                     except _FAILURES as exc:
-                        error = exc
+                        scores.errors[i] = exc
+                error = scores.errors[i]
                 if error is None:
                     row = SweepRow(value, label, est.policy, est.mse, est.std_err, mse_db, est.trials_used)
                 else:

@@ -359,6 +359,29 @@ class TestSweepCommand:
         assert capsys.readouterr().err.count(line) == 2
         assert (out / "summary.txt").read_text().count(line) == 2
 
+    def test_a_quadrature_failure_stops_only_the_policy_that_reads_it(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        code = main(
+            [
+                "sweep", "--axis", "k", "--values", "4:5", "--altitude", "0.001",
+                "--policies", "heuristic,benchmark,optimal-equal", "--noise-var", "1e-12",
+                "--trials", "200", "--out", str(out),
+            ]
+        )
+        assert code == 0  # the pilot rules and the benchmark never read the disk quadrature
+        err = capsys.readouterr().err
+        assert err.count("failed (optimal-equal): QuadratureConvergenceError") == 2
+        assert err.count("failed") == 2
+        rows = [line.split(",") for line in (out / "results.csv").read_text().splitlines()[1:]]
+        assert [(row[0], row[2]) for row in rows] == [
+            (k, p) for k in ("4", "5") for p in ("heuristic", "benchmark", "optimal-equal")
+        ]
+        for row in rows:
+            if row[2] == "optimal-equal":
+                assert math.isnan(float(row[3])) and row[6] == "0"
+            else:
+                assert math.isfinite(float(row[5])) and row[6] == "200"
+
 
 class TestOracleCommand:
     def test_writes_grid_csv(self, tmp_path):

@@ -59,7 +59,7 @@ ROUND_POLICIES = [p for p in POLICY_NAMES if p != "grid-oracle"]  # the policies
 
 def evaluate_cell(cfg, tspec, policies):
     """One target's ``(sqerr, accept, oracle, errors)`` from a cell of that target alone."""
-    [scores] = evaluation._evaluate_cell(cfg, [(tspec, policies)])
+    [scores] = evaluation._evaluate_cell(cfg, [tspec], policies)
     return scores.sqerr, scores.accept, scores.oracle, scores.errors
 
 class TestExperimentConfig:
@@ -694,6 +694,38 @@ class TestSweep:
                 assert math.isfinite(row.mse_db) and row.trials_used == config.trials
                 assert row.error == ""
 
+    def test_a_fixed_vector_of_the_wrong_length_fails_only_its_row(self):
+        cfg = ExperimentConfig(
+            k=5, noise_var=1e-12, trials=50, policies=("heuristic", np.full(5, 1e5), "benchmark"),
+        )
+        rows = sweep(cfg, "k", [4, 5]).rows
+        without = sweep(replace(cfg, policies=("heuristic", "benchmark")), "k", [4, 5]).rows
+        assert [r for r in rows if r.policy != "fixed"] == list(without)
+        for row in rows:
+            if row.policy == "fixed" and row.axis_value == 4:
+                assert math.isnan(row.mse) and row.trials_used == 0
+                assert row.error == "ValueError: fixed beta must have 4 entries, got shape (5,)"
+            else:
+                assert math.isfinite(row.mse_db) and row.error == ""
+
+    def test_a_quadrature_that_does_not_converge_fails_only_the_rows_that_read_it(self):
+        # at 1 mm over a 10 m disk the disk quadrature does not converge; the pilot rules and
+        # the benchmark never read it
+        readers = ("optimal-equal", "grid-oracle")
+        cfg = ExperimentConfig(
+            h=1e-3, noise_var=1e-12, trials=50, policies=[p for p in POLICY_NAMES if p != "zero"],
+        )
+        rows = sweep(cfg, "k", [4, 5]).rows
+        others = [p for p in cfg.policies if p not in readers]
+        without = sweep(replace(cfg, policies=others), "k", [4, 5]).rows
+        assert [r for r in rows if r.policy not in readers] == list(without)
+        for row in rows:
+            if row.policy in readers:
+                assert math.isnan(row.mse) and row.trials_used == 0
+                assert row.error.startswith("QuadratureConvergenceError: disk quadrature changed by ")
+            else:
+                assert math.isfinite(row.mse_db) and row.error == ""
+
     def test_csv_schema_and_round_trip(self):
         cfg = ExperimentConfig(
             trials=300, noise_var=1e-12, policies=("benchmark",), seed=2
@@ -781,7 +813,7 @@ class TestSharedGeometry:
         for chunk_size in (evaluation._chunk_size, lambda n, k: 1, lambda n, k: 13):
             monkeypatch.setattr(evaluation, "_chunk_size", chunk_size)
             outcome = []
-            for s in evaluation._evaluate_cell(cfg, targets):
+            for s in evaluation._evaluate_cell(cfg, [tspec for tspec, _ in targets], POLICY_NAMES):
                 assert s.errors == [None] * len(POLICY_NAMES)
                 outcome.append((s.sqerr.tobytes(), s.accept.tobytes(), s.oracle.values.tobytes()))
             outcomes.append(outcome)
@@ -809,6 +841,27 @@ class TestSharedGeometry:
         # one quadrature and one position draw (one chunk) per axis value, for all three targets;
         # each dB reference comes from the target's own moments
         assert calls == {"gain_statistics": 2, "scatter_on_disk": 2, "target_second_moment": 0}
+
+    def test_a_failure_of_the_shared_rounds_reaches_every_row_of_its_axis_value(self, monkeypatch):
+        original = evaluation.pilot_sums
+
+        def pilot_sums(g, *args):
+            if g.shape[-2] == 3:  # only at k = 3
+                raise RuntimeError("boom")
+            return original(g, *args)
+
+        monkeypatch.setattr(evaluation, "pilot_sums", pilot_sums)
+        cfg = ExperimentConfig(noise_var=1e-12, trials=50, seed=4)
+        rows = sweep(cfg, "k", [2, 3], targets=["config-1", "config-3"]).rows
+        assert len(rows) == 2 * 2 * len(cfg.policies)
+        for row in rows:
+            if row.axis_value == 3:
+                assert math.isnan(row.mse) and row.trials_used == 0
+                assert row.error == "RuntimeError: boom"
+            else:
+                assert math.isfinite(row.mse_db) and row.error == ""
+        with pytest.raises(RuntimeError, match="boom"):
+            estimate_mse(replace(cfg, k=3), "benchmark")
 
 
 class TestGridOracleBatch:
