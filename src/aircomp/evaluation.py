@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -251,18 +251,26 @@ def build_target(target, n: int) -> TargetSpec:
     ``config-1``: plain sum; ``config-2``: sum of squares;
     ``config-3``: cubes with ramp weights ``w_i = i``.  A ready
     :class:`TargetSpec` passes through (its length must match ``n``).
+    A named spec is frozen, so the specs of the 4 ``(name, n)`` used
+    last are kept and returned again, each with its memoized data
+    moments (see :meth:`~aircomp.nomographic.DataMoments.of`).
     """
     if isinstance(target, TargetSpec):
         if target.n != n:
             raise ValueError(f"target spec is for {target.n} sensors, expected {n}")
         return target
-    if target == "config-1":
+    if not (isinstance(target, str) and target in TARGET_NAMES):
+        raise ValueError(f"unknown target {target!r}; choose from {TARGET_NAMES}")
+    return _named_target(target, n)
+
+
+@lru_cache(maxsize=4, typed=True)
+def _named_target(name: str, n: int) -> TargetSpec:
+    if name == "config-1":
         return TargetSpec(np.ones(n), np.ones(n, dtype=int))
-    if target == "config-2":
+    if name == "config-2":
         return TargetSpec(np.ones(n), np.full(n, 2))
-    if target == "config-3":
-        return TargetSpec(np.arange(1, n + 1, dtype=float), np.full(n, 3))
-    raise ValueError(f"unknown target {target!r}; choose from {TARGET_NAMES}")
+    return TargetSpec(np.arange(1, n + 1, dtype=float), np.full(n, 3))
 
 
 def target_reference(config: ExperimentConfig, tspec: TargetSpec | None = None) -> float:
@@ -305,6 +313,12 @@ def _policy_label(policy) -> str:
     return policy if isinstance(policy, str) else "fixed"
 
 
+@lru_cache(maxsize=4)
+def _flight_plan(k: int, r_cov: float, h: float):
+    """The diameter plan of an operating point; a :class:`Trajectory` is frozen, so one serves every round."""
+    return plan_diameter_trajectory(k, r_cov, h)
+
+
 class _Geometry:
     """The target-free inputs of one operating point: flight plan, channel, gain statistics and gains.
 
@@ -316,11 +330,22 @@ class _Geometry:
     def __init__(self, config: ExperimentConfig):
         self.config = config
         self.params = ChannelParams(g0=config.g0, tx_power_w=config.p_watts)
-        self.traj = plan_diameter_trajectory(config.k, config.r_cov, config.h)
+        self.traj = _flight_plan(config.k, config.r_cov, config.h)
+
+    @property
+    def stats(self):
+        """The disk quadrature's gain statistics; a quadrature that fails is run once and re-raised."""
+        stats, error = self._stats
+        if error is not None:
+            raise error
+        return stats
 
     @cached_property
-    def stats(self):
-        return gain_statistics(self.traj, self.config.r_cov, self.params, self.config.zeta)
+    def _stats(self):
+        try:
+            return gain_statistics(self.traj, self.config.r_cov, self.params, self.config.zeta), None
+        except _FAILURES as exc:
+            return None, exc
 
     @cached_property
     def fixed_gains(self) -> np.ndarray:

@@ -24,6 +24,8 @@ class TargetSpec:
     Attributes:
         weights: ``(n,)`` positive, finite weights.
         exponents: ``(n,)`` integer exponents, each ``>= 1``.
+
+    A spec also holds the last :meth:`DataMoments.of` derived for it.
     """
 
     weights: np.ndarray
@@ -166,7 +168,21 @@ class DataMoments:
 
     @classmethod
     def of(cls, spec: TargetSpec, data_mean, data_var) -> "DataMoments":
-        mu, var = _per_sensor(spec, data_mean, data_var)
+        """The moments of ``spec`` under readings ``Normal(data_mean, data_var)``, scalar or ``(n,)``.
+
+        The result is memoized on ``spec`` in one slot, keyed on the exact
+        float64 shape and bytes of ``data_mean`` and ``data_var``, so the
+        callers that share a spec and a data law share one derivation; its
+        ``mu``, ``var`` and ``tau`` are read-only.  Any other law re-derives
+        (and re-validates) and takes the slot; a call that raises leaves it
+        as it was.
+        """
+        law = (np.asarray(data_mean, dtype=np.float64), np.asarray(data_var, dtype=np.float64))
+        key = tuple((a.shape, a.tobytes()) for a in law)
+        memo = getattr(spec, "_moments", None)
+        if memo is not None and memo[0] == key:
+            return memo[1]
+        mu, var = _per_sensor(spec, *law)
         w, v = spec.weights, spec.exponents
         m_prev, m_v = gaussian_raw_moment(mu, var, np.stack((v - 1, v)))
         target_mean = float(np.sum(w * m_v))
@@ -177,7 +193,12 @@ class DataMoments:
             falling = falling * np.maximum(v - j + 1, 0)
             coef = falling * gaussian_raw_moment(mu, var, np.maximum(v - j, 0))
             residual += float(np.sum(w**2 * var**j * coef**2)) / math.factorial(j)
-        return cls(mu=np.array(mu), var=np.array(var), tau=tau, target_mean=target_mean, residual=residual)
+        mu, var = np.array(mu), np.array(var)
+        for arr in (mu, var, tau):
+            arr.setflags(write=False)
+        moments = cls(mu=mu, var=var, tau=tau, target_mean=target_mean, residual=residual)
+        object.__setattr__(spec, "_moments", (key, moments))
+        return moments
 
     @property
     def target_second_moment(self) -> float:

@@ -19,8 +19,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from aircomp import evaluation
-from aircomp.estimator import SamplingRejectedError
+from aircomp import evaluation, nomographic
+from aircomp.estimator import QuadratureConvergenceError, SamplingRejectedError
 from aircomp.evaluation import (
     ESTIMATOR_NAMES,
     POLICY_NAMES,
@@ -271,6 +271,33 @@ class TestRunTrial:
                         if single != engine:
                             mismatches.append((seed, noise_var, target, redeploy, single, engine))
         assert mismatches == []
+
+    def test_a_round_builds_no_constant(self, monkeypatch):
+        # the named spec, its data moments and the flight plan depend on the config only
+        calls = {"derivations": 0, "plans": 0}
+
+        def counted(module, name, key):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(nomographic, "gaussian_raw_moment", "derivations")  # once per config-1 derivation
+        counted(evaluation, "plan_diameter_trajectory", "plans")
+        evaluation._named_target.cache_clear()
+        evaluation._flight_plan.cache_clear()
+        cfg = ExperimentConfig(noise_var=1e-12, seed=5)
+        for seed in range(20):
+            try:
+                run_trial(cfg, "heuristic", seed)
+            except SamplingRejectedError:
+                pass
+        assert calls == {"derivations": 1, "plans": 1}
+        assert build_target("config-1", 20) is build_target("config-1", 20)
+        assert evaluation._named_target.cache_info().maxsize <= 4
 
     def test_grid_oracle_needs_a_batch(self):
         cfg = ExperimentConfig()
@@ -725,6 +752,31 @@ class TestSweep:
                 assert row.error.startswith("QuadratureConvergenceError: disk quadrature changed by ")
             else:
                 assert math.isfinite(row.mse_db) and row.error == ""
+
+    def test_a_quadrature_that_does_not_converge_runs_once_per_axis_value(self, monkeypatch):
+        # every target's optimal-equal rule and grid-oracle centre read the one failed quadrature
+        calls = []
+        original = evaluation.gain_statistics
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "gain_statistics", counted)
+        cfg = ExperimentConfig(
+            h=1e-3, noise_var=1e-12, trials=50, policies=("heuristic", "benchmark", "optimal-equal", "grid-oracle"),
+        )
+        rows = sweep(cfg, "k", [5], targets=["config-1", "config-3"]).rows
+        assert len(calls) == 1
+        with pytest.raises(QuadratureConvergenceError) as failure:
+            original(*calls[0])
+        readers = [r for r in rows if r.policy in ("optimal-equal", "grid-oracle")]
+        assert len(readers) == 4
+        for row in readers:
+            assert math.isnan(row.mse) and row.trials_used == 0
+            assert row.error == f"QuadratureConvergenceError: {failure.value}"
+        others = sweep(replace(cfg, policies=("heuristic", "benchmark")), "k", [5], targets=["config-1", "config-3"])
+        assert [r for r in rows if r.policy in ("heuristic", "benchmark")] == list(others.rows)
 
     def test_csv_schema_and_round_trip(self):
         cfg = ExperimentConfig(

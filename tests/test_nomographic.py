@@ -21,7 +21,7 @@ from aircomp import (
     target_sum_cross_moment,
     target_value,
 )
-from aircomp.nomographic import target_values
+from aircomp.nomographic import DataMoments, target_values
 
 
 def moment_oracle(mu, var, v):
@@ -221,3 +221,64 @@ class TestTargetMoments:
         assert target_mean(spec, mu, var) == pytest.approx(3.0, rel=1e-12)
         # E[S^2] = sum var + (sum mu)^2 for the plain sum
         assert target_second_moment(spec, mu, var) == pytest.approx(3.5 + 9.0, rel=1e-12)
+
+
+def moment_bits(m):
+    """Every number of a :class:`DataMoments`, exactly."""
+    return (m.mu.tobytes(), m.var.tobytes(), m.tau.tobytes(), float(m.target_mean).hex(), float(m.residual).hex())
+
+
+class TestDataMomentsMemo:
+    """``DataMoments.of`` derives once per (spec, data law), and a memo hit is a fresh derivation's bits."""
+
+    SPEC = TargetSpec(np.arange(1.0, 7.0), np.array([1, 3, 2, 3, 1, 4]))  # mixed exponents: a residual
+
+    def spec(self):
+        """A new spec equal to ``SPEC``, with nothing memoized yet."""
+        return TargetSpec(self.SPEC.weights, self.SPEC.exponents)
+
+    def fresh(self, mean, var):
+        """The moments of this law derived on a new spec."""
+        return moment_bits(DataMoments.of(self.spec(), mean, var))
+
+    def test_the_same_spec_and_law_return_the_same_object(self):
+        spec = self.spec()
+        first = DataMoments.of(spec, 0.0, 1.0)
+        assert DataMoments.of(spec, 0.0, 1.0) is first
+        assert moment_bits(first) == self.fresh(0.0, 1.0)
+
+    def test_a_change_of_law_gives_fresh_moments(self):
+        spec = self.spec()
+        zero = DataMoments.of(spec, 0.0, 1.0)
+        shifted = DataMoments.of(spec, 0.3, 1.0)
+        assert shifted is not zero
+        assert moment_bits(shifted) == self.fresh(0.3, 1.0) != moment_bits(zero)
+        means = np.linspace(-0.5, 0.5, 6)
+        per_sensor = DataMoments.of(spec, means, 1.0)
+        assert moment_bits(per_sensor) == self.fresh(means, 1.0)
+        nudged = means.copy()
+        nudged[4] = 0.25
+        changed = DataMoments.of(spec, nudged, 1.0)
+        assert changed is not per_sensor
+        assert moment_bits(changed) == self.fresh(nudged, 1.0) != moment_bits(per_sensor)
+
+    def test_returning_to_the_first_law_re_derives_it(self):
+        spec = self.spec()
+        first = moment_bits(DataMoments.of(spec, 0.0, 1.0))
+        DataMoments.of(spec, 0.3, 1.0)
+        assert moment_bits(DataMoments.of(spec, 0.0, 1.0)) == first == self.fresh(0.0, 1.0)
+
+    def test_the_memoized_arrays_are_read_only(self):
+        moments = DataMoments.of(self.spec(), np.linspace(0.0, 1.0, 6), 2.0)
+        for arr in (moments.mu, moments.var, moments.tau):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+    def test_a_nan_law_raises_and_keeps_the_earlier_entry(self):
+        spec = self.spec()
+        first = DataMoments.of(spec, 0.3, 1.0)
+        with pytest.raises(ValueError, match="data_var must be non-negative"):
+            DataMoments.of(spec, 0.3, math.nan)
+        with pytest.raises(ValueError, match="data_var must be non-negative"):
+            DataMoments.of(spec, 0.3, math.nan)  # the failure was not stored either
+        assert DataMoments.of(spec, 0.3, 1.0) is first
