@@ -735,26 +735,10 @@ class TestSweep:
             else:
                 assert math.isfinite(row.mse_db) and row.error == ""
 
-    def test_a_quadrature_that_does_not_converge_fails_only_the_rows_that_read_it(self):
+    def test_a_quadrature_that_does_not_converge_fails_only_the_rows_that_read_it(self, monkeypatch):
         # at 1 mm over a 10 m disk the disk quadrature does not converge; the pilot rules and
-        # the benchmark never read it
+        # the benchmark never read it, and every target's readers share its one failed run
         readers = ("optimal-equal", "grid-oracle")
-        cfg = ExperimentConfig(
-            h=1e-3, noise_var=1e-12, trials=50, policies=[p for p in POLICY_NAMES if p != "zero"],
-        )
-        rows = sweep(cfg, "k", [4, 5]).rows
-        others = [p for p in cfg.policies if p not in readers]
-        without = sweep(replace(cfg, policies=others), "k", [4, 5]).rows
-        assert [r for r in rows if r.policy not in readers] == list(without)
-        for row in rows:
-            if row.policy in readers:
-                assert math.isnan(row.mse) and row.trials_used == 0
-                assert row.error.startswith("QuadratureConvergenceError: disk quadrature changed by ")
-            else:
-                assert math.isfinite(row.mse_db) and row.error == ""
-
-    def test_a_quadrature_that_does_not_converge_runs_once_per_axis_value(self, monkeypatch):
-        # every target's optimal-equal rule and grid-oracle centre read the one failed quadrature
         calls = []
         original = evaluation.gain_statistics
 
@@ -764,19 +748,25 @@ class TestSweep:
 
         monkeypatch.setattr(evaluation, "gain_statistics", counted)
         cfg = ExperimentConfig(
-            h=1e-3, noise_var=1e-12, trials=50, policies=("heuristic", "benchmark", "optimal-equal", "grid-oracle"),
+            h=1e-3, noise_var=1e-12, trials=50, policies=[p for p in POLICY_NAMES if p != "zero"],
         )
-        rows = sweep(cfg, "k", [5], targets=["config-1", "config-3"]).rows
-        assert len(calls) == 1
-        with pytest.raises(QuadratureConvergenceError) as failure:
-            original(*calls[0])
-        readers = [r for r in rows if r.policy in ("optimal-equal", "grid-oracle")]
-        assert len(readers) == 4
-        for row in readers:
-            assert math.isnan(row.mse) and row.trials_used == 0
-            assert row.error == f"QuadratureConvergenceError: {failure.value}"
-        others = sweep(replace(cfg, policies=("heuristic", "benchmark")), "k", [5], targets=["config-1", "config-3"])
-        assert [r for r in rows if r.policy in ("heuristic", "benchmark")] == list(others.rows)
+        targets = ["config-1", "config-3"]
+        rows = sweep(cfg, "k", [4, 5], targets=targets).rows
+        assert [traj.k for traj, *_ in calls] == [4, 5]
+        reasons = {}
+        for args in calls:
+            with pytest.raises(QuadratureConvergenceError) as failure:
+                original(*args)
+            reasons[args[0].k] = f"QuadratureConvergenceError: {failure.value}"
+        others = [p for p in cfg.policies if p not in readers]
+        without = sweep(replace(cfg, policies=others), "k", [4, 5], targets=targets).rows
+        assert [r for r in rows if r.policy not in readers] == list(without)
+        for row in rows:
+            if row.policy in readers:
+                assert math.isnan(row.mse) and row.trials_used == 0
+                assert row.error == reasons[row.axis_value]
+            else:
+                assert math.isfinite(row.mse_db) and row.error == ""
 
     def test_csv_schema_and_round_trip(self):
         cfg = ExperimentConfig(
