@@ -334,10 +334,14 @@ class _Geometry:
 
     @property
     def stats(self):
-        """The disk quadrature's gain statistics; a quadrature that fails is run once and re-raised."""
+        """The disk quadrature's gain statistics; a quadrature that fails is run once.
+
+        Each later read raises a fresh copy of the recorded failure, chained
+        to it, so no reader's traceback collects another reader's frames.
+        """
         stats, error = self._stats
         if error is not None:
-            raise error
+            raise type(error)(*error.args) from error
         return stats
 
     @cached_property

@@ -297,7 +297,6 @@ class TestRunTrial:
                 pass
         assert calls == {"derivations": 1, "plans": 1}
         assert build_target("config-1", 20) is build_target("config-1", 20)
-        assert evaluation._named_target.cache_info().maxsize <= 4
 
     def test_grid_oracle_needs_a_batch(self):
         cfg = ExperimentConfig()
@@ -758,6 +757,7 @@ class TestSweep:
             with pytest.raises(QuadratureConvergenceError) as failure:
                 original(*args)
             reasons[args[0].k] = f"QuadratureConvergenceError: {failure.value}"
+            assert reasons[args[0].k].startswith("QuadratureConvergenceError: disk quadrature changed by ")
         others = [p for p in cfg.policies if p not in readers]
         without = sweep(replace(cfg, policies=others), "k", [4, 5], targets=targets).rows
         assert [r for r in rows if r.policy not in readers] == list(without)
@@ -767,6 +767,18 @@ class TestSweep:
                 assert row.error == reasons[row.axis_value]
             else:
                 assert math.isfinite(row.mse_db) and row.error == ""
+
+    def test_each_read_of_a_failed_quadrature_raises_its_own_copy(self):
+        geometry = evaluation._Geometry(ExperimentConfig(h=1e-3, k=5))
+        raised = []
+        for _ in range(2):
+            with pytest.raises(QuadratureConvergenceError) as failure:
+                geometry.stats
+            raised.append(failure.value)
+        first, second = raised
+        assert first is not second and str(first) == str(second)
+        assert first.__cause__ is second.__cause__
+        assert first.__traceback__ is not second.__traceback__
 
     def test_csv_schema_and_round_trip(self):
         cfg = ExperimentConfig(
