@@ -14,26 +14,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import SensorField, Trajectory, squared_ranges
+from .geometry import SensorField, Trajectory, frozen_array, squared_ranges
 
 @dataclass(frozen=True)
 class ChannelParams:
     """Carrier-dependent channel constant and UAV transmit power.
 
     Attributes:
-        g0: free-space reference gain ``c / (4 * pi * f)``; the default
-            0.0275 corresponds to an 868 MHz carrier.
-        tx_power_w: UAV illumination power in watts.
+        g0: free-space reference gain ``c / (4 * pi * f)``, finite and
+            ``> 0``; the default 0.0275 corresponds to an 868 MHz carrier.
+        tx_power_w: UAV illumination power in watts, finite and ``> 0``.
     """
 
     g0: float = 0.0275
     tx_power_w: float = 1.0
 
     def __post_init__(self):
-        if not self.g0 > 0.0:
-            raise ValueError(f"g0 must be positive, got {self.g0}")
-        if not self.tx_power_w > 0.0:
-            raise ValueError(f"tx_power_w must be positive, got {self.tx_power_w}")
+        if not 0.0 < self.g0 < math.inf:
+            raise ValueError(f"g0 must be positive and finite, got {self.g0}")
+        if not 0.0 < self.tx_power_w < math.inf:
+            raise ValueError(f"tx_power_w must be positive and finite, got {self.tx_power_w}")
 
 
 @dataclass(frozen=True)
@@ -42,18 +42,16 @@ class GainMatrix:
 
     Attributes:
         g: ``(k, n)`` effective amplitudes ``sqrt(zeta_i * p) * g0**2 / d[k, i]**2``,
-            read-only; stop-major, so each stop's row of sensors is contiguous.
+            finite, positive and read-only; stop-major, so each stop's row of
+            sensors is contiguous, as the array steps sum them.
     """
 
     g: np.ndarray
 
     def __post_init__(self):
-        g = np.array(self.g, dtype=np.float64, order="C")  # rows contiguous, as the array steps sum them
-        if g.ndim != 2:
-            raise ValueError(f"g must be 2-d, got shape {g.shape}")
+        g = frozen_array(self.g, "g", 2)
         if not (g > 0.0).all():
             raise ValueError("gains must be positive")
-        g.setflags(write=False)
         object.__setattr__(self, "g", g)
 
     @property

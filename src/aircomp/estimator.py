@@ -33,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from .channel import ChannelParams, GainMatrix, gain_amplitude
-from .geometry import Trajectory
+from .geometry import Trajectory, frozen_array
 from .nomographic import DataMoments, TargetSpec, gaussian_power_variance
 from .protocol import BetaVector, SumGainSamples
 
@@ -50,6 +50,8 @@ class SamplingRejectedError(RuntimeError):
 class GainStatistics:
     """Distributional gain statistics for one sensor uniform on the disk.
 
+    Every array is a finite, read-only float64 copy.
+
     Attributes:
         mean_g: ``(k,)`` per-stop means of the effective gain.
         var_g: ``(k,)`` per-stop variances.
@@ -62,17 +64,13 @@ class GainStatistics:
     second_moment: np.ndarray
 
     def __post_init__(self):
-        mean = np.asarray(self.mean_g, dtype=np.float64).copy()
-        var = np.asarray(self.var_g, dtype=np.float64).copy()
-        m2 = np.asarray(self.second_moment, dtype=np.float64).copy()
-        k = mean.size
-        if mean.ndim != 1 or var.shape != (k,) or m2.shape != (k, k):
+        for name, ndim in (("mean_g", 1), ("var_g", 1), ("second_moment", 2)):
+            object.__setattr__(self, name, frozen_array(getattr(self, name), name, ndim))
+        k = self.k
+        if self.var_g.shape != (k,) or self.second_moment.shape != (k, k):
             raise ValueError("inconsistent statistics shapes")
-        if not ((mean > 0.0).all() and (var >= 0.0).all()):
+        if not ((self.mean_g > 0.0).all() and (self.var_g >= 0.0).all()):
             raise ValueError("mean gains must be positive, variances non-negative")
-        for name, arr in (("mean_g", mean), ("var_g", var), ("second_moment", m2)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
 
     @property
     def k(self) -> int:
@@ -359,6 +357,14 @@ def _pilot_inputs(alphas, spec: TargetSpec, data_mean, data_var, n_sensors: int)
     return alpha, moments.cross, float(moments.var.sum())
 
 
+def _pilot_rule(alpha, cross, power, noise, n: int):
+    """``cross / (K * (alpha / n) * power + n * noise / alpha)`` for pilot sums ``(..., K)``.
+
+    The per-stop rule; the pooled rule is this rule on one pooled stop.
+    """
+    return cross / (alpha.shape[-1] * (alpha / n) * power + n * noise / alpha)
+
+
 def beta_heuristic(
     alphas: SumGainSamples,
     spec: TargetSpec,
@@ -380,9 +386,8 @@ def beta_heuristic(
         SamplingRejectedError: if any pilot measurement is non-positive.
     """
     alpha, cross, sum_var = _pilot_inputs(alphas, spec, data_mean, data_var, n_sensors)
-    k = alpha.shape[-1]
-    noise = _noise_array(noise_vars, k)
-    return BetaVector(cross / (k * (alpha / n_sensors) * sum_var + n_sensors * noise / alpha))
+    noise = _noise_array(noise_vars, alpha.shape[-1])
+    return BetaVector(_pilot_rule(alpha, cross, sum_var, noise, n_sensors))
 
 
 def beta_heuristic_equal(
@@ -396,10 +401,10 @@ def beta_heuristic_equal(
     """Single shared coefficient from pooled pilot measurements.
 
     ``cross / ((sum_k alpha_k / n) * sum_i var_i + n * sum_k nv_k / sum_k alpha_k)``,
-    where a scalar noise variance counts ``k`` times.  Collapses to the
-    per-stop rule when all pilot samples are equal.  Returns a float for
-    one round's pilot sums ``(k,)`` and an array ``(...)`` for a batch
-    ``(..., k)``.
+    where a scalar noise variance counts ``k`` times: the per-stop rule on
+    one pooled stop, so it collapses to that rule when all pilot samples
+    are equal.  Returns a float for one round's pilot sums ``(k,)`` and an
+    array ``(...)`` for a batch ``(..., k)``.
 
     Raises:
         SamplingRejectedError: if any pilot measurement is non-positive.
@@ -408,8 +413,8 @@ def beta_heuristic_equal(
     k = alpha.shape[-1]
     noise = _noise_array(noise_vars, k)
     noise_total = k * float(noise_vars) if np.ndim(noise_vars) == 0 else float(noise.sum())
-    total = alpha.sum(axis=-1)
-    beta = cross / ((total / n_sensors) * sum_var + n_sensors * noise_total / total)
+    pooled = alpha.sum(axis=-1, keepdims=True)
+    beta = _pilot_rule(pooled, cross, sum_var, noise_total, n_sensors)[..., 0]
     return float(beta) if beta.ndim == 0 else beta
 
 

@@ -16,10 +16,20 @@ import numpy as np
 from .rng import make_rng
 
 
-def _frozen_array(value, shape_hint: str) -> np.ndarray:
-    arr = np.array(value, dtype=np.float64, copy=True)
+def frozen_array(value, name: str, ndim: int | None) -> np.ndarray:
+    """A value type's field ``name``: a read-only, C-ordered float64 copy of ``value``.
+
+    Raises:
+        ValueError: if the array is not ``ndim``-d (``None`` takes any
+            rank), is empty, or holds a NaN or an infinity.
+    """
+    arr = np.array(value, dtype=np.float64, order="C")
+    if ndim is not None and arr.ndim != ndim:
+        raise ValueError(f"{name} must be {ndim}-d, got shape {arr.shape}")
     if arr.size == 0:
-        raise ValueError(f"{shape_hint} must not be empty")
+        raise ValueError(f"{name} must not be empty")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite")
     arr.setflags(write=False)
     return arr
 
@@ -28,11 +38,13 @@ def _frozen_array(value, shape_hint: str) -> np.ndarray:
 class SensorField:
     """Immutable ground-sensor layout plus per-sensor channel/data parameters.
 
+    Every array is a finite, read-only float64 copy.
+
     Attributes:
         positions: ``(n, 2)`` sensor coordinates in meters.
         reflection: ``(n,)`` backscatter reflection coefficients in ``(0, 1]``.
-        data_mean: ``(n,)`` finite means of the Gaussian data sources.
-        data_var: ``(n,)`` finite variances of the Gaussian data sources (``>= 0``).
+        data_mean: ``(n,)`` means of the Gaussian data sources.
+        data_var: ``(n,)`` variances of the Gaussian data sources (``>= 0``).
     """
 
     positions: np.ndarray
@@ -41,23 +53,17 @@ class SensorField:
     data_var: np.ndarray
 
     def __post_init__(self):
-        pos = _frozen_array(self.positions, "positions")
-        if pos.ndim != 2 or pos.shape[1] != 2:
+        pos = frozen_array(self.positions, "positions", 2)
+        if pos.shape[1] != 2:
             raise ValueError(f"positions must have shape (n, 2), got {pos.shape}")
-        n = pos.shape[0]
-        fields = {}
-        for name in ("reflection", "data_mean", "data_var"):
-            arr = np.broadcast_to(np.asarray(getattr(self, name), dtype=np.float64), (n,))
-            fields[name] = _frozen_array(arr, name)
-        if not ((fields["reflection"] > 0.0) & (fields["reflection"] <= 1.0)).all():
-            raise ValueError("reflection coefficients must lie in (0, 1]")
-        if not (fields["data_var"] >= 0.0).all():
-            raise ValueError("data_var must be non-negative")
-        if not (np.isfinite(fields["data_mean"]).all() and np.isfinite(fields["data_var"]).all()):
-            raise ValueError("data_mean and data_var must be finite")
         object.__setattr__(self, "positions", pos)
-        for name, arr in fields.items():
+        for name in ("reflection", "data_mean", "data_var"):
+            arr = frozen_array(np.broadcast_to(getattr(self, name), (self.n,)), name, 1)
             object.__setattr__(self, name, arr)
+        if not ((self.reflection > 0.0) & (self.reflection <= 1.0)).all():
+            raise ValueError("reflection coefficients must lie in (0, 1]")
+        if not (self.data_var >= 0.0).all():
+            raise ValueError("data_var must be non-negative")
 
     @property
     def n(self) -> int:
@@ -69,18 +75,19 @@ class Trajectory:
     """A fixed-altitude flight plan: hover stops at height ``altitude_h``.
 
     Attributes:
-        altitude_h: UAV altitude in meters, ``> 0``.
-        stops: ``(k, 2)`` ground-projected stop coordinates.
+        altitude_h: UAV altitude in meters, finite and ``> 0``.
+        stops: ``(k, 2)`` ground-projected stop coordinates, a finite,
+            read-only float64 copy.
     """
 
     altitude_h: float
     stops: np.ndarray
 
     def __post_init__(self):
-        if not self.altitude_h > 0.0:
-            raise ValueError(f"altitude_h must be positive, got {self.altitude_h}")
-        stops = _frozen_array(self.stops, "stops")
-        if stops.ndim != 2 or stops.shape[1] != 2:
+        if not 0.0 < self.altitude_h < math.inf:
+            raise ValueError(f"altitude_h must be positive and finite, got {self.altitude_h}")
+        stops = frozen_array(self.stops, "stops", 2)
+        if stops.shape[1] != 2:
             raise ValueError(f"stops must have shape (k, 2), got {stops.shape}")
         object.__setattr__(self, "altitude_h", float(self.altitude_h))
         object.__setattr__(self, "stops", stops)

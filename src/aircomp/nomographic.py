@@ -16,13 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import frozen_array
 
 @dataclass(frozen=True)
 class TargetSpec:
     """A weighted power-sum target ``sum_i weights[i] * d_i**exponents[i]``.
 
     Attributes:
-        weights: ``(n,)`` positive, finite weights.
+        weights: ``(n,)`` positive, finite weights, a read-only float64 copy.
         exponents: ``(n,)`` integer exponents, each ``>= 1``.
 
     A spec also holds the last :meth:`DataMoments.of` derived for it.
@@ -32,20 +33,15 @@ class TargetSpec:
     exponents: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64).copy()
+        w = frozen_array(self.weights, "weights", 1)
         v = np.asarray(self.exponents)
-        if w.ndim != 1 or w.size == 0:
-            raise ValueError("weights must be a non-empty 1-d array")
         if v.shape != w.shape:
             raise ValueError(f"exponents shape {v.shape} must match weights shape {w.shape}")
         if not (w > 0.0).all():
             raise ValueError("weights must be positive")
-        if not np.isfinite(w).all():
-            raise ValueError("weights must be finite")
         if not np.all(v == np.floor(v)) or np.any(v < 1):
             raise ValueError("exponents must be integers >= 1")
         v = v.astype(np.int64)
-        w.setflags(write=False)
         v.setflags(write=False)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "exponents", v)

@@ -15,22 +15,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import GainMatrix
-from .geometry import SensorField
+from .geometry import SensorField, frozen_array
 from .rng import make_rng
 
 
 @dataclass(frozen=True)
 class SumGainSamples:
-    """Pilot-flyover measurements: per-stop sum of effective gains plus noise."""
+    """Pilot-flyover measurements: per-stop sums of effective gains plus noise, finite and read-only."""
 
     alpha: np.ndarray
 
     def __post_init__(self):
-        alpha = np.asarray(self.alpha, dtype=np.float64).copy()
-        if alpha.ndim != 1 or alpha.size == 0:
-            raise ValueError("alpha must be a non-empty 1-d array")
-        alpha.setflags(write=False)
-        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "alpha", frozen_array(self.alpha, "alpha", 1))
 
     @property
     def k(self) -> int:
@@ -39,16 +35,12 @@ class SumGainSamples:
 
 @dataclass(frozen=True)
 class AggregateSamples:
-    """Data-flyover measurements: per-stop gain-weighted data sums plus noise."""
+    """Data-flyover measurements: per-stop gain-weighted data sums plus noise, finite and read-only."""
 
     dbar: np.ndarray
 
     def __post_init__(self):
-        dbar = np.asarray(self.dbar, dtype=np.float64).copy()
-        if dbar.ndim != 1 or dbar.size == 0:
-            raise ValueError("dbar must be a non-empty 1-d array")
-        dbar.setflags(write=False)
-        object.__setattr__(self, "dbar", dbar)
+        object.__setattr__(self, "dbar", frozen_array(self.dbar, "dbar", 1))
 
     @property
     def k(self) -> int:
@@ -57,22 +49,20 @@ class AggregateSamples:
 
 @dataclass(frozen=True)
 class BetaVector:
-    """Non-negative combining coefficients, one per stop.
+    """Non-negative, finite combining coefficients, one per stop.
 
-    Leading axes, if any, index rounds: a batch of per-stop vectors.
+    Leading axes, if any, index rounds: a batch of per-stop vectors; a
+    scalar is one stop's.  ``beta`` is a read-only float64 copy.
     """
 
     beta: np.ndarray
 
     def __post_init__(self):
-        beta = np.asarray(self.beta, dtype=np.float64).copy()
+        beta = frozen_array(self.beta, "beta", None)
         if beta.ndim == 0:
             beta = beta.reshape(1)
-        if beta.size == 0:
-            raise ValueError("beta must be non-empty")
         if not (beta >= 0.0).all():
             raise ValueError("combining coefficients must be non-negative")
-        beta.setflags(write=False)
         object.__setattr__(self, "beta", beta)
 
     @property

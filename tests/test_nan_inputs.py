@@ -1,16 +1,21 @@
-"""A NaN entry fails every value check, as an out-of-range value does, and so does an
-infinite weight or data statistic."""
+"""A NaN entry fails every value check, as an out-of-range value does.  An infinite
+weight, data statistic, array entry of a value type, channel constant or altitude, or a
+radius that puts sensors or stops at infinity, fails with a message that says "finite"."""
 
 import numpy as np
 import pytest
 
 from aircomp import (
+    AggregateSamples,
     BetaVector,
     ChannelParams,
     GainMatrix,
     GainStatistics,
     SensorField,
+    SumGainSamples,
     TargetSpec,
+    Trajectory,
+    deploy_sensors,
     effective_gain_matrix,
     gaussian_raw_moment,
     mse_exact_conditional,
@@ -64,6 +69,17 @@ NON_FINITE_CASES = {
     "target data_mean": lambda: target_mean(SPEC, NAN, 1.0),
     "infinite target data_mean": lambda: target_mean(SPEC, INF, 1.0),
     "infinite moments data_var": lambda: DataMoments.of(SPEC, 0.0, INF),
+    "field position": lambda: _field(positions=np.array([[NAN, 0.0], [1.0, 1.0]])),
+    "infinite deployment radius": lambda: deploy_sensors(3, INF),
+    "infinite plan radius": lambda: plan_diameter_trajectory(3, INF, 50.0),
+    "infinite gain": lambda: GainMatrix(np.array([[INF, 1e-7]])),
+    "infinite beta": lambda: BetaVector(np.array([INF, 1.0])),
+    "pilot sum": lambda: SumGainSamples(np.array([NAN, 1.0])),
+    "infinite aggregate": lambda: AggregateSamples(np.array([INF, 1.0])),
+    "infinite gain second moment": lambda: GainStatistics(np.ones(1), np.zeros(1), np.array([[INF]])),
+    "infinite g0": lambda: ChannelParams(g0=INF),
+    "infinite tx power": lambda: ChannelParams(tx_power_w=INF),
+    "infinite altitude": lambda: Trajectory(altitude_h=INF, stops=np.zeros((1, 2))),
 }
 
 
