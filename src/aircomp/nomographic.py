@@ -18,6 +18,7 @@ import numpy as np
 
 from .geometry import frozen_array
 
+
 @dataclass(frozen=True)
 class TargetSpec:
     """A weighted power-sum target ``sum_i weights[i] * d_i**exponents[i]``.

@@ -52,7 +52,7 @@ class BetaVector:
     """Non-negative, finite combining coefficients, one per stop.
 
     Leading axes, if any, index rounds: a batch of per-stop vectors; a
-    scalar is one stop's.  ``beta`` is a read-only float64 copy.
+    scalar is one stop's coefficient.  ``beta`` is a read-only float64 copy.
     """
 
     beta: np.ndarray

@@ -38,7 +38,5 @@ def test_value_type_stores_a_frozen_copy(make, fields, shapes, dtype, order):
         assert stored.dtype == np.float64
         assert stored.flags["C_CONTIGUOUS"]
         assert not stored.flags["WRITEABLE"]
-        with pytest.raises(ValueError):
-            stored[...] = 0.25
         given[...] = 0.25  # the caller changes its input after construction
         np.testing.assert_array_equal(stored, np.full(given.shape, 0.5))
