@@ -180,13 +180,13 @@ def gain_statistics(
 
     Args:
         traj: stop plan (stops may lie anywhere, altitude sets the floor).
-        r_cov: coverage-disk radius, ``> 0``.
+        r_cov: coverage-disk radius, positive and finite.
         params: channel constants.
         zeta: common reflection coefficient in ``(0, 1]``.
         radial_nodes: base number of radial nodes per segment (``>= 16``).
     """
-    if not r_cov > 0.0:
-        raise ValueError(f"r_cov must be positive, got {r_cov}")
+    if not 0.0 < r_cov < np.inf:
+        raise ValueError(f"r_cov must be positive and finite, got {r_cov}")
     if not 0.0 < zeta <= 1.0:
         raise ValueError(f"zeta must lie in (0, 1], got {zeta}")
     if radial_nodes < 16:
@@ -199,7 +199,7 @@ def gain_statistics(
         float(np.max(np.abs(mean_b - mean_a))) / scale,
         float(np.max(np.abs(second_b - second_a))) / scale2,
     )
-    if err > 1e-6:
+    if not err <= 1e-6:  # a NaN error has not converged either
         raise QuadratureConvergenceError(
             f"disk quadrature changed by {err:.3e} relative under refinement"
         )
@@ -408,6 +408,8 @@ def beta_heuristic_equal(
 
     Raises:
         SamplingRejectedError: if any pilot measurement is non-positive.
+        ValueError: if a coefficient is not finite (``0 / 0`` when the
+            data variance and the receiver noise both vanish).
     """
     alpha, cross, sum_var = _pilot_inputs(alphas, spec, data_mean, data_var, n_sensors)
     k = alpha.shape[-1]
@@ -415,6 +417,8 @@ def beta_heuristic_equal(
     noise_total = k * float(noise_vars) if np.ndim(noise_vars) == 0 else float(noise.sum())
     pooled = alpha.sum(axis=-1, keepdims=True)
     beta = _pilot_rule(pooled, cross, sum_var, noise_total, n_sensors)[..., 0]
+    if not np.isfinite(beta).all():
+        raise ValueError("beta must be finite")
     return float(beta) if beta.ndim == 0 else beta
 
 

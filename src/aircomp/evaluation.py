@@ -27,9 +27,11 @@ The ``estimator`` of a configuration sets what a trial records.
 records the exact mean square error given them (see
 :class:`~aircomp.nomographic.DataMoments`): readings and data-flyover
 noise are integrated in closed form, so the per-trial variance is far
-smaller while the mean is the same.  Acceptance depends on the pilot
-only, so both estimators accept the same trials.  :func:`run_trial` on
-the cell's seed sequence is the first round of a plain cell.
+smaller while the mean is the same.  Each estimator scores every equal
+coefficient, a rule's or the grid search's, by one formula.  Acceptance
+depends on the pilot only, so both estimators accept the same trials.
+:func:`run_trial` on the cell's seed sequence is the first round of a
+plain cell.
 
 MSE values quoted in dB are normalized by the analytic second moment of
 the target, ``10 * log10(mse / E[target**2])``.
@@ -484,35 +486,32 @@ class _PlainRounds:
         c = geometry.config
         self.data = sensor_readings(c.data_mean, c.data_var, rngs[_S_DATA], (len(g), c.n))
         self.dbar = stop_aggregates(g, self.data, c.noise_var, rngs[_S_FLYOVER])
+        self._values = {}
 
-    def for_target(self, target: _Target) -> "_PlainView":
-        return _PlainView(self.dbar, target_values(target.tspec, self.data))
+    def values(self, target: _Target):
+        """The target on each round's readings, evaluated once per chunk."""
+        if target not in self._values:
+            self._values[target] = target_values(target.tspec, self.data)
+        return self._values[target]
+
+    def errors(self, target: _Target, beta):
+        """Squared errors ``(S,)`` under per-stop coefficients ``(S, k)``."""
+        return (combine(self.dbar, beta, per_stop=True) - self.values(target)) ** 2
+
+    def equal_columns(self, target: _Target):
+        """What an equal coefficient ``b`` needs of each round: its aggregate sum and its target."""
+        return self.dbar.sum(axis=-1), self.values(target)
 
     @staticmethod
-    def grid(columns, target: _Target):
-        """The grid search's per-round errors and objective at an equal coefficient ``b``."""
-        agg_sum, agg_target = columns
+    def equal_errors(columns, target: _Target, b):
+        """Squared errors under an equal coefficient ``b``, a scalar or one per round."""
+        agg_sum, values = columns
+        return (b * agg_sum - values) ** 2
 
-        def sqerr(b):
-            return (b * agg_sum - agg_target) ** 2
-
-        return sqerr, lambda b: float(np.mean(sqerr(b)))
-
-
-class _PlainView:
-    """One target's view of a chunk of played rounds: its realized errors."""
-
-    def __init__(self, dbar, values):
-        self.dbar = dbar
-        self.values = values  # the target on each round's readings
-
-    def errors(self, beta, per_stop: bool):
-        """Squared errors ``(S,)`` under coefficients from a rule's batch."""
-        return (combine(self.dbar, beta, per_stop) - self.values) ** 2
-
-    def equal_columns(self):
-        """What the grid search keeps of each round: its aggregate sum and its target."""
-        return self.dbar.sum(axis=1), self.values
+    @classmethod
+    def objective(cls, columns, target: _Target):
+        """The grid search's objective: the mean of the per-round errors."""
+        return lambda b: float(np.mean(cls.equal_errors(columns, target, b)))
 
 
 class _ConditionalRounds:
@@ -527,49 +526,28 @@ class _ConditionalRounds:
         """Each round's gains summed over stops ``(S, n)``, shared by every target's equal coefficients."""
         return np.einsum("...kn->...n", self.g)  # over stops, far faster than sum(axis=1) for small n
 
-    def for_target(self, target: _Target) -> "_ConditionalView":
-        return _ConditionalView(self, target.moments)
+    def errors(self, target: _Target, beta):
+        """Exact conditional MSEs ``(S,)`` under per-stop coefficients ``(S, k)``."""
+        t = np.einsum("...k,...kn->...n", beta, self.g)
+        return target.moments.mse(t, self.config.noise_var * np.einsum("...k,...k->...", beta, beta))
+
+    def equal_columns(self, target: _Target):
+        """Each round's ``(A, B)``: an equal coefficient ``b`` scores ``A b**2 - 2 B b + C``."""
+        c = self.config
+        return target.moments.equal_quadratic(self.g_sum, c.k * c.noise_var)
 
     @staticmethod
-    def grid(columns, target: _Target):
-        """The grid search's per-round errors and objective: the exact quadratic in ``b``."""
+    def equal_errors(columns, target: _Target, b):
+        """Exact conditional MSEs under an equal coefficient ``b``, a scalar or one per round."""
         quad, lin = columns
-        const = target.moments.target_second_moment
-        mean_quad, mean_lin = float(np.mean(quad)), float(np.mean(lin))
+        out = quad * (b * b) - 2.0 * b * lin + target.moments.target_second_moment
+        return np.maximum(out, 0.0)  # rounding can take a near-zero quadratic slightly below zero
 
-        def sqerr(b):
-            return _equal_mse(quad, lin, const, b)
-
-        return sqerr, lambda b: b * b * mean_quad - 2.0 * b * mean_lin + const
-
-
-class _ConditionalView:
-    """One target's view of a chunk of rounds: its exact conditional errors."""
-
-    def __init__(self, rounds: _ConditionalRounds, moments: DataMoments):
-        self.rounds = rounds
-        self.moments = moments
-        self._quadratic = None
-
-    def errors(self, beta, per_stop: bool):
-        """Exact conditional MSEs ``(S,)`` under coefficients from a rule's batch."""
-        if per_stop:
-            t = np.einsum("...k,...kn->...n", beta, self.rounds.g)
-            return self.moments.mse(t, self.rounds.config.noise_var * np.einsum("...k,...k->...", beta, beta))
-        return _equal_mse(*self.equal_columns(), self.moments.target_second_moment, beta)
-
-    def equal_columns(self):
-        """Each round's ``(A, B)``: an equal coefficient ``b`` scores ``A b**2 - 2 B b + C``."""
-        if self._quadratic is None:
-            c = self.rounds.config
-            self._quadratic = self.moments.equal_quadratic(self.rounds.g_sum, c.k * c.noise_var)
-        return self._quadratic
-
-
-def _equal_mse(quad, lin, const, b):
-    # rounding can take a near-zero quadratic slightly below zero
-    out = quad * (b * b) - 2.0 * b * lin + const
-    return np.maximum(out, 0.0, out=out)
+    @classmethod
+    def objective(cls, columns, target: _Target):
+        """The grid search's objective: the exact quadratic at the mean columns."""
+        means = [float(np.mean(column)) for column in columns]
+        return lambda b: float(cls.equal_errors(means, target, b))
 
 
 _ROUNDS = {"plain": _PlainRounds, "conditional": _ConditionalRounds}
@@ -580,7 +558,10 @@ class _Scores:
 
     ``sqerr`` and ``accept`` hold per-trial errors (squared errors, or
     their conditional means; see ``ExperimentConfig.estimator``) and
-    acceptance flags, one row per policy; ``oracle`` is the grid search
+    acceptance flags, one row per policy.  Per-stop coefficients are
+    scored by the rounds' ``errors``; every equal coefficient, a rule's or
+    the grid search's, by their one ``equal_errors`` on the target's equal
+    columns, formed at most once per chunk.  ``oracle`` is the grid search
     if a policy is ``grid-oracle`` (else ``None``); ``errors`` holds per
     policy the exception that stopped it (else ``None``), and a failed
     policy's rows are meaningless.  A target that cannot be built from
@@ -611,7 +592,7 @@ class _Scores:
 
     def add(self, rounds, alpha, lo: int, hi: int) -> None:
         """Score every running rule on the chunk of rounds ``[lo, hi)`` with pilot sums ``alpha``."""
-        view = rounds.for_target(self.target)
+        columns = None
         for i, rule in enumerate(self.rules):
             if self.errors[i] is not None or rule.coefficients is None:
                 continue
@@ -622,12 +603,16 @@ class _Scores:
                 continue
             if ok is not None:
                 self.accept[i, lo:hi] = ok
-            self.sqerr[i, lo:hi] = view.errors(beta, rule.per_stop)
+            if rule.per_stop:
+                self.sqerr[i, lo:hi] = rounds.errors(self.target, beta)
+            else:
+                columns = columns or rounds.equal_columns(self.target)
+                self.sqerr[i, lo:hi] = rounds.equal_errors(columns, self.target, beta)
         if self._oracle_rows:
-            self._columns[:, lo:hi] = view.equal_columns()
+            self._columns[:, lo:hi] = columns or rounds.equal_columns(self.target)
 
-    def search(self, grid) -> None:
-        """The grid search on the kept equal columns, through the estimator's ``grid``."""
+    def search(self, rounds) -> None:
+        """The grid search on the kept equal columns, scored by the estimator's ``equal_errors``."""
         rows = [i for i in self._oracle_rows if self.errors[i] is None]
         if not rows:
             return
@@ -640,10 +625,10 @@ class _Scores:
             return val
 
         try:
-            sqerr, objective = grid(self._columns, self.target)
+            objective = rounds.objective(self._columns, self.target)
             center = self.target.equal_optimal
             beta, mse = beta_grid_oracle(recorded, center, resolution=c.resolution, span=c.span)
-            self.sqerr[rows] = sqerr(beta)
+            self.sqerr[rows] = rounds.equal_errors(self._columns, self.target, beta)
         except _FAILURES as exc:
             for i in rows:
                 self.errors[i] = exc
@@ -689,7 +674,7 @@ def _evaluate_cell(config: ExperimentConfig, targets, policies) -> list[_Scores]
         for s in live:
             s.errors = [exc if error is None else error for error in s.errors]
     for s in live:
-        s.search(rounds.grid)
+        s.search(rounds)
     return scores
 
 

@@ -7,6 +7,7 @@ its run byte for byte), artifact layout, and the exit-code contract:
 """
 
 import dataclasses
+import hashlib
 import math
 
 import pytest
@@ -572,3 +573,29 @@ class TestValidateCommand:
             "conditional-matches-exact",
             "monte-carlo-deterministic",
         }
+
+
+class TestAcceptanceDigests:
+    """The acceptance sweep's ``results.csv``, pinned bit for bit under each estimator.
+
+    A change that moves these bits on purpose updates the digest in the
+    same commit and records the old and new digests in CHANGES.md.
+    """
+
+    SWEEP = [
+        "sweep", "--axis", "k", "--values", "1:10", "--targets", "config-1,config-3",
+        "--policies", "heuristic,heuristic-equal,optimal-equal,benchmark,grid-oracle",
+        "--noise-var", "1e-12", "--trials", "5000", "--seed", "7",
+    ]
+
+    @pytest.mark.parametrize(
+        "extra, digest",
+        [
+            ([], "5aa69bfb291cb0ee395202e6368cf3f882b0ba1160052b2bb7e997dcd2944c64"),
+            (["--estimator", "plain"], "d3c0173e55abd93f90e1d6933c6b51eb797f08cad8e37e4adcf2a957ba068414"),
+        ],
+        ids=["default", "plain"],
+    )
+    def test_results_csv_digest(self, tmp_path, extra, digest):
+        assert main([*self.SWEEP, *extra, "--out", str(tmp_path)]) == 0
+        assert hashlib.sha256((tmp_path / "results.csv").read_bytes()).hexdigest() == digest

@@ -20,6 +20,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import integrate
 
+from aircomp import estimator
 from aircomp.channel import ChannelParams, GainMatrix, effective_gain_matrix
 from aircomp.estimator import (
     DataMoments,
@@ -283,6 +284,19 @@ class TestGainStatistics:
         with pytest.raises(ValueError):
             gain_statistics(traj, 10.0, params, 0.99, radial_nodes=8)
 
+    def test_an_infinite_radius_is_rejected_by_name(self):
+        traj = Trajectory(altitude_h=50.0, stops=np.zeros((1, 2)))
+        with pytest.raises(ValueError, match="r_cov must be positive and finite, got inf"):
+            gain_statistics(traj, np.inf, ChannelParams(), 0.99)
+
+    def test_a_nan_refinement_error_has_not_converged(self, monkeypatch):
+        def nan_moments(traj, r_cov, nodes):
+            return np.full(traj.k, np.nan), np.full((traj.k, traj.k), np.nan)
+
+        monkeypatch.setattr(estimator, "_inverse_range_moments", nan_moments)
+        with pytest.raises(QuadratureConvergenceError, match="changed by nan"):
+            gain_statistics(plan_diameter_trajectory(2, 10.0, 50.0), 10.0, ChannelParams(), 0.99)
+
     def test_statistics_shape_and_sign_validation(self):
         with pytest.raises(ValueError):
             GainStatistics(
@@ -496,6 +510,18 @@ class TestPilotCoefficientRules:
             single = alpha[row]
             assert np.array_equal(per_stop[row], beta_heuristic(single, spec, 0.0, 1.0, 1e-12, n).beta)
             assert pooled[row] == beta_heuristic_equal(single, spec, 0.0, 1.0, 1e-12, n)
+
+    def test_a_zero_over_zero_coefficient_is_rejected(self):
+        # no data variance and no receiver noise: both rules divide 0 by 0
+        n = 20
+        spec = TargetSpec(weights=np.ones(n), exponents=np.ones(n, dtype=int))
+        alpha = np.array([5e-6, 6e-6, 7e-6])
+        with np.errstate(invalid="ignore"):
+            for rule in (beta_heuristic, beta_heuristic_equal):
+                with pytest.raises(ValueError, match="beta must be finite"):
+                    rule(alpha, spec, 0.0, 0.0, 0.0, n)
+                with pytest.raises(ValueError, match="beta must be finite"):
+                    rule(np.tile(alpha, (4, 1)), spec, 0.0, 0.0, 0.0, n)
 
     def test_sensor_count_validation(self):
         spec = TargetSpec(weights=np.ones(2), exponents=np.ones(2, dtype=int))

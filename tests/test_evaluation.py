@@ -720,6 +720,18 @@ class TestSweep:
                 assert math.isfinite(row.mse_db) and row.trials_used == config.trials
                 assert row.error == ""
 
+    def test_a_pilot_coefficient_of_zero_over_zero_fails_its_row(self):
+        # no data variance and no receiver noise: both pilot rules divide 0 by 0
+        cfg = ExperimentConfig(data_var=0.0, noise_var=0.0, trials=50, policies=("heuristic", "heuristic-equal"))
+        with np.errstate(invalid="ignore"):
+            rows = sweep(cfg, "k", [4, 5]).rows
+            with pytest.raises(ValueError, match="beta must be finite"):
+                estimate_mse(cfg, "heuristic-equal")
+        assert [(r.axis_value, r.policy) for r in rows] == [(k, p) for k in (4, 5) for p in cfg.policies]
+        for row in rows:
+            assert math.isnan(row.mse) and row.trials_used == 0
+            assert row.error == "ValueError: beta must be finite"
+
     def test_a_fixed_vector_of_the_wrong_length_fails_only_its_row(self):
         cfg = ExperimentConfig(
             k=5, noise_var=1e-12, trials=50, policies=("heuristic", np.full(5, 1e5), "benchmark"),
@@ -916,6 +928,29 @@ class TestSharedGeometry:
                 assert math.isfinite(row.mse_db) and row.error == ""
         with pytest.raises(RuntimeError, match="boom"):
             estimate_mse(replace(cfg, k=3), "benchmark")
+
+
+class TestPolicyIndependence:
+    """A policy's rows do not depend on which other policies share its cell."""
+
+    @pytest.mark.parametrize("target, data_mean", [("config-1", 0.0), ("config-3", 0.0), ("config-2", 1.5)])
+    @pytest.mark.parametrize("estimator", ESTIMATOR_NAMES)
+    def test_each_policy_alone_gives_the_rows_it_gives_with_the_others(self, estimator, target, data_mean):
+        cfg = ExperimentConfig(
+            target=target, data_mean=data_mean, noise_var=1e-11, trials=60, seed=9, estimator=estimator,
+        )
+        tspec = build_target(target, cfg.n)
+        policies = [*POLICY_NAMES, np.linspace(1e5, 2e5, cfg.k), 1.5e5]  # a fixed unequal vector, a scalar
+        sqerr, accept, oracle, errors = evaluate_cell(cfg, tspec, policies)
+        assert errors == [None] * len(policies)
+        assert not accept.all()  # some pilot rounds were rejected
+        for i, policy in enumerate(policies):
+            alone, alone_accept, alone_oracle, alone_errors = evaluate_cell(cfg, tspec, [policy])
+            assert alone_errors == [None]
+            assert alone[0].tobytes() == sqerr[i].tobytes(), i
+            assert alone_accept[0].tobytes() == accept[i].tobytes(), i
+            if alone_oracle is not None:
+                assert alone_oracle.values.tobytes() == oracle.values.tobytes()
 
 
 class TestGridOracleBatch:
