@@ -33,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from .channel import ChannelParams, GainMatrix, gain_amplitude
-from .geometry import Trajectory, frozen_array
+from .geometry import Trajectory, check_radius, frozen_array
 from .nomographic import DataMoments, TargetSpec, gaussian_power_variance
 from .protocol import BetaVector, SumGainSamples
 
@@ -180,13 +180,12 @@ def gain_statistics(
 
     Args:
         traj: stop plan (stops may lie anywhere, altitude sets the floor).
-        r_cov: coverage-disk radius, positive and finite.
+        r_cov: coverage-disk radius, passing :func:`~aircomp.geometry.check_radius`.
         params: channel constants.
         zeta: common reflection coefficient in ``(0, 1]``.
         radial_nodes: base number of radial nodes per segment (``>= 16``).
     """
-    if not 0.0 < r_cov < np.inf:
-        raise ValueError(f"r_cov must be positive and finite, got {r_cov}")
+    check_radius(r_cov)
     if not 0.0 < zeta <= 1.0:
         raise ValueError(f"zeta must lie in (0, 1], got {zeta}")
     if radial_nodes < 16:

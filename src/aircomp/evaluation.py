@@ -7,8 +7,8 @@ trials are simulated in vectorized chunks; every policy evaluated at the
 same configuration sees the same deployments, readings, and noise
 (common random numbers), which makes policy gaps directly comparable.
 A chunk runs the array forms of the same protocol steps that
-:func:`run_trial` takes one round at a time, and both resolve a policy
-through one table.
+:func:`run_trial` takes one round at a time: both draw their gains
+through one step and resolve a policy through one table.
 
 A cell is one sequence of rounds.  Its randomness comes from four
 generators spawned once from ``numpy.random.SeedSequence((seed, n, k))``,
@@ -46,7 +46,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .channel import ChannelParams, effective_gain_matrix, gain_amplitude
+from .channel import ChannelParams, GainMatrix, gain_amplitude
 from .estimator import (
     beta_benchmark,
     beta_equal_optimal,
@@ -62,7 +62,6 @@ from .protocol import (
     BetaVector,
     combine,
     computation_phase,
-    draw_sensor_data,
     estimate,
     pilot_sums,
     sampling_phase,
@@ -139,6 +138,8 @@ class ExperimentConfig:
         for name in ("r_cov", "h", "p_watts", "zeta", "g0"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if not math.isfinite(4.0 * self.r_cov * self.r_cov + self.h * self.h):  # the farthest squared range
+            raise ValueError(f"(2 * r_cov)**2 + h**2 must be finite, got r_cov={self.r_cov}, h={self.h}")
         if self.zeta > 1.0:
             raise ValueError(f"zeta must lie in (0, 1], got {self.zeta}")
         if self.noise_var < 0.0 or self.data_var < 0.0:
@@ -353,23 +354,21 @@ class _Geometry:
         except _FAILURES as exc:
             return None, exc
 
-    @cached_property
-    def fixed_gains(self) -> np.ndarray:
-        """The seeded layout's gains, stop-major ``(k, n)``."""
-        return effective_gain_matrix(fixed_deployment(self.config), self.traj, self.params).g
+    def gains(self, positions, out: np.ndarray) -> np.ndarray:
+        """Read-only effective gains ``(size, k, n)`` of the next ``size = len(out)`` rounds' deployments.
 
-    def gains(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
-        """Effective gains ``(size, k, n)`` of the next ``size = len(out)`` rounds' deployments.
-
-        Redeployed gains are built in place in ``out``; a fixed layout's
-        are a read-only view of its one ``(k, n)`` matrix.
+        Redeployed gains are drawn from ``positions``, a Generator or a
+        SeedSequence, and built in place in ``out``.  A fixed layout, which
+        every round sees, is :func:`fixed_deployment`'s: drawn into ``out[0]``
+        from the cell's seed sequence, leaving ``positions`` undrawn.
         """
         c = self.config
+        shape = out.shape
         if not c.redeploy_per_trial:
-            return np.broadcast_to(self.fixed_gains, out.shape)
-        x, y = scatter_on_disk(rng, c.r_cov, (len(out), c.n))
+            positions, out = np.random.SeedSequence((c.seed, c.n, c.k)), out[:1]
+        x, y = scatter_on_disk(make_rng(positions), c.r_cov, (len(out), c.n))
         d2 = squared_ranges(x, y, self.traj, out=out)
-        return np.divide(gain_amplitude(c.zeta, self.params), d2, out=d2)
+        return np.broadcast_to(np.divide(gain_amplitude(c.zeta, self.params), d2, out=d2), shape)
 
 
 class _Target:
@@ -707,7 +706,8 @@ def _summarize(sqerr: np.ndarray, accept: np.ndarray, policy) -> PolicyEstimate:
 def run_trial(config: ExperimentConfig, policy, trial_seed) -> float:
     """One protocol round through the composable API; returns the squared error.
 
-    Deterministic in ``(config, policy, trial_seed)``.  The round runs
+    Deterministic in ``(config, policy, trial_seed)``.  The round takes
+    its gains from the cell's gain step on a one-round buffer and runs
     the engine's arithmetic on the engine's draws, so on a cell's seed
     sequence, ``np.random.SeedSequence((seed, n, k))``, it reproduces the
     first trial of a plain cell (``estimator="plain"``) bit for bit,
@@ -723,16 +723,9 @@ def run_trial(config: ExperimentConfig, policy, trial_seed) -> float:
         raise ValueError("grid-oracle needs a trial batch; use estimate_mse or grid_oracle")
     streams = spawn_seeds(trial_seed, 4)
 
-    if config.redeploy_per_trial:
-        sensors = deploy_sensors(
-            config.n, config.r_cov, config.zeta, config.data_mean, config.data_var,
-            seed=streams[_S_POSITIONS],
-        )
-    else:
-        sensors = fixed_deployment(config)
-    gains = effective_gain_matrix(sensors, geometry.traj, geometry.params)
+    gains = GainMatrix(geometry.gains(streams[_S_POSITIONS], np.empty((1, config.k, config.n)))[0])
     pilots = sampling_phase(gains, config.noise_var, streams[_S_PILOT])
-    data = draw_sensor_data(sensors, streams[_S_DATA])
+    data = sensor_readings(config.data_mean, config.data_var, streams[_S_DATA], config.n)
     aggregates = computation_phase(gains, data, config.noise_var, streams[_S_FLYOVER])
 
     err = estimate(aggregates, rule.coefficients(pilots.alpha)) - target_value(tspec, data)

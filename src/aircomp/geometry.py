@@ -75,7 +75,7 @@ class Trajectory:
     """A fixed-altitude flight plan: hover stops at height ``altitude_h``.
 
     Attributes:
-        altitude_h: UAV altitude in meters, finite and ``> 0``.
+        altitude_h: UAV altitude in meters, ``> 0`` with a finite square.
         stops: ``(k, 2)`` ground-projected stop coordinates, a finite,
             read-only float64 copy.
     """
@@ -84,8 +84,8 @@ class Trajectory:
     stops: np.ndarray
 
     def __post_init__(self):
-        if not 0.0 < self.altitude_h < math.inf:
-            raise ValueError(f"altitude_h must be positive and finite, got {self.altitude_h}")
+        if not (0.0 < self.altitude_h and math.isfinite(self.altitude_h * self.altitude_h)):
+            raise ValueError(f"altitude_h must be positive with a finite square, got {self.altitude_h}")
         stops = frozen_array(self.stops, "stops", 2)
         if stops.shape[1] != 2:
             raise ValueError(f"stops must have shape (k, 2), got {stops.shape}")
@@ -95,6 +95,14 @@ class Trajectory:
     @property
     def k(self) -> int:
         return self.stops.shape[0]
+
+
+def check_radius(r_cov: float) -> None:
+    """Reject a coverage radius that is not positive and finite, or whose diameter's square overflows."""
+    if not 0.0 < r_cov < math.inf:
+        raise ValueError(f"r_cov must be positive and finite, got {r_cov}")
+    if not math.isfinite((2.0 * r_cov) * (2.0 * r_cov)):
+        raise ValueError(f"r_cov must keep (2 * r_cov)**2 finite, got {r_cov}")
 
 
 def deploy_sensors(
@@ -124,12 +132,11 @@ def deploy_sensors(
         A :class:`SensorField`.
 
     Raises:
-        ValueError: if ``n < 1`` or ``r_cov <= 0`` or parameters are invalid.
+        ValueError: if ``n < 1``, ``r_cov`` fails :func:`check_radius` or parameters are invalid.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if not r_cov > 0.0:
-        raise ValueError(f"r_cov must be positive, got {r_cov}")
+    check_radius(r_cov)
     x, y = scatter_on_disk(make_rng(seed), r_cov, n)
     return SensorField(np.column_stack((x, y)), zeta, data_mean, data_var)
 
@@ -159,12 +166,11 @@ def plan_diameter_trajectory(k: int, r_cov: float, h: float) -> Trajectory:
     ``[-r_cov, +r_cov]`` with both endpoints included.
 
     Raises:
-        ValueError: if ``k < 1``, ``r_cov <= 0``, or ``h <= 0``.
+        ValueError: if ``k < 1``, ``r_cov`` fails :func:`check_radius`, or ``h <= 0``.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if not r_cov > 0.0:
-        raise ValueError(f"r_cov must be positive, got {r_cov}")
+    check_radius(r_cov)
     if k == 1:
         xs = np.zeros(1)
     else:

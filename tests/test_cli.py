@@ -491,6 +491,12 @@ class TestExitCodes:
         assert "noise_var must be finite" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("flag", [("--r-cov", "1e308"), ("--r-cov", "1e200"), ("--altitude", "1e200")])
+    def test_an_overflowing_length_is_config_error(self, tmp_path, capsys, flag):
+        assert main(["single", "--out", str(tmp_path / "x"), *flag]) == 2
+        assert capsys.readouterr().err.startswith("config error: (2 * r_cov)**2 + h**2 must be finite")
+        assert not (tmp_path / "x").exists()
+
     def test_bad_bool_is_config_error(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("redeploy_per_trial = maybe\n")

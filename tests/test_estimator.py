@@ -289,6 +289,13 @@ class TestGainStatistics:
         with pytest.raises(ValueError, match="r_cov must be positive and finite, got inf"):
             gain_statistics(traj, np.inf, ChannelParams(), 0.99)
 
+    def test_a_radius_whose_diameter_squares_to_infinity_is_rejected(self):
+        # a finite radius can still overflow every squared range; the check
+        # comes before the quadrature, so no OverflowError escapes it
+        traj = Trajectory(altitude_h=50.0, stops=np.zeros((1, 2)))
+        with pytest.raises(ValueError, match=r"\(2 \* r_cov\)\*\*2"):
+            gain_statistics(traj, 1e308, ChannelParams(), 0.99)
+
     def test_a_nan_refinement_error_has_not_converged(self, monkeypatch):
         def nan_moments(traj, r_cov, nodes):
             return np.full(traj.k, np.nan), np.full((traj.k, traj.k), np.nan)

@@ -49,7 +49,7 @@ from aircomp.estimator import (
     gain_statistics,
     mse_exact_conditional,
 )
-from aircomp.geometry import plan_diameter_trajectory
+from aircomp.geometry import SensorField, deploy_sensors, plan_diameter_trajectory
 from aircomp.nomographic import TargetSpec
 from aircomp.protocol import BetaVector, pilot_sums
 from aircomp.rng import make_rng, spawn_seeds
@@ -125,6 +125,11 @@ class TestExperimentConfig:
     def test_non_finite_values_rejected(self, name, value):
         with pytest.raises(ValueError, match=name):
             ExperimentConfig(**{name: value})
+
+    @pytest.mark.parametrize("field", [{"r_cov": 1e200}, {"h": 1e200}, {"r_cov": 6e153, "h": 6e153}])
+    def test_an_overflowing_farthest_range_is_rejected_naming_both_lengths(self, field):
+        with pytest.raises(ValueError, match=r"\(2 \* r_cov\)\*\*2 \+ h\*\*2 must be finite, got r_cov=.*, h="):
+            ExperimentConfig(**field)
 
     @pytest.mark.parametrize("value", [2.5, 100.5, 20.0, True, "20"])
     @pytest.mark.parametrize("name", ["n", "k", "trials", "resolution"])
@@ -287,6 +292,9 @@ class TestRunTrial:
 
         counted(nomographic, "gaussian_raw_moment", "derivations")  # once per config-1 derivation
         counted(evaluation, "plan_diameter_trajectory", "plans")
+        # a redeployed round's gains come straight from its position stream, with no layout object
+        calls["fields"] = 0
+        counted(SensorField, "__post_init__", "fields")
         evaluation._named_target.cache_clear()
         evaluation._flight_plan.cache_clear()
         cfg = ExperimentConfig(noise_var=1e-12, seed=5)
@@ -295,8 +303,27 @@ class TestRunTrial:
                 run_trial(cfg, "heuristic", seed)
             except SamplingRejectedError:
                 pass
-        assert calls == {"derivations": 1, "plans": 1}
+        assert calls == {"derivations": 1, "plans": 1, "fields": 0}
         assert build_target("config-1", 20) is build_target("config-1", 20)
+
+    @pytest.mark.parametrize("k", (1, 5, 20))
+    @pytest.mark.parametrize("n", (1, 7, 8, 9, 127, 128, 129, 2000))
+    def test_the_public_layout_path_builds_the_engines_gains(self, n, k):
+        # Rounds and chunks take their gains from _Geometry.gains alone, so this
+        # ties the public path (deploy, then gains) to it: bit for bit on the
+        # same position stream, and a fixed layout's as fixed_deployment's.
+        cfg = ExperimentConfig(n=n, k=k, zeta=0.7, p_watts=2.0, seed=9)
+        plan = plan_diameter_trajectory(k, cfg.r_cov, cfg.h)
+        params = ChannelParams(g0=cfg.g0, tx_power_w=cfg.p_watts)
+        stream = np.random.SeedSequence((3, n, k))
+        public = effective_gain_matrix(deploy_sensors(n, cfg.r_cov, cfg.zeta, seed=stream), plan, params)
+        engine = evaluation._Geometry(cfg).gains(stream, np.empty((1, k, n)))
+        assert engine.shape == (1, k, n)
+        np.testing.assert_array_equal(engine[0], public.g)
+        fixed = replace(cfg, redeploy_per_trial=False)
+        public = effective_gain_matrix(fixed_deployment(fixed), plan, params)
+        engine = evaluation._Geometry(fixed).gains(stream, np.empty((2, k, n)))
+        np.testing.assert_array_equal(engine, np.broadcast_to(public.g, (2, k, n)))
 
     def test_grid_oracle_needs_a_batch(self):
         cfg = ExperimentConfig()

@@ -1,6 +1,7 @@
 """Tests for sensor deployment, trajectories, and distance geometry."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from aircomp import (
     max_distance_bound,
     plan_diameter_trajectory,
 )
-from aircomp.geometry import scatter_on_disk
+from aircomp.geometry import check_radius, scatter_on_disk
 from aircomp.rng import make_rng
 
 
@@ -117,6 +118,24 @@ class TestTrajectory:
             plan_diameter_trajectory(3, 10.0, -1.0)
         with pytest.raises(ValueError):
             Trajectory(0.0, np.array([[0.0, 0.0]]))
+
+    @pytest.mark.parametrize("r_cov", [math.inf, math.nan, 1e308, 1e200])
+    def test_an_unusable_radius_is_rejected_before_numpy_warns(self, r_cov):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="r_cov"):
+                plan_diameter_trajectory(3, r_cov, 50.0)
+            with pytest.raises(ValueError, match="r_cov"):
+                deploy_sensors(3, r_cov, seed=0)
+
+    def test_the_radius_bound_is_the_diameters_square(self):
+        check_radius(0.5 * math.sqrt(np.finfo(float).max) * (1 - 1e-15))
+        with pytest.raises(ValueError, match="finite"):
+            check_radius(0.5 * math.sqrt(np.finfo(float).max) * (1 + 1e-15))
+
+    def test_an_altitude_whose_square_overflows_is_rejected(self):
+        with pytest.raises(ValueError, match="altitude_h must be positive with a finite square, got 1e\\+200"):
+            Trajectory(1e200, np.zeros((1, 2)))
 
 
 class TestDistances:
